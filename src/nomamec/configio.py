@@ -8,10 +8,11 @@ field path so a bad file is diagnosable from the message alone.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .model import ScenarioConfig, ServerSpec, UserSpec
+from .model import ScenarioConfig, ServerSpec, UsageError, UserSpec
 
 __all__ = ["ConfigError", "LoadedScenario", "load_config", "config_to_dict"]
 
@@ -32,13 +33,35 @@ def _need(obj: dict, key: str, path: str) -> Any:
     return obj[key]
 
 
-def _number(obj: dict, key: str, path: str, minimum: Optional[float] = None) -> float:
-    val = _need(obj, key, path)
+def _number(
+    obj: dict,
+    key: str,
+    path: str,
+    minimum: Optional[float] = None,
+    default: Optional[float] = None,
+) -> float:
+    """Finite float at obj[key]; a missing key takes default when one is given."""
+    val = obj.get(key, default) if default is not None else _need(obj, key, path)
     if not isinstance(val, (int, float)) or isinstance(val, bool):
         raise ConfigError(f"{path}{key}: expected a number, got {type(val).__name__}")
-    if minimum is not None and val <= minimum:
+    try:
+        out = float(val)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise ConfigError(f"{path}{key}: must be finite, got {val}")
+    if minimum is not None and out <= minimum:
         raise ConfigError(f"{path}{key}: must be > {minimum}")
-    return float(val)
+    return out
+
+
+def _seed(obj: dict) -> int:
+    val = obj.get("master_seed", 0)
+    if isinstance(val, float) and val.is_integer():
+        val = int(val)
+    if not isinstance(val, int) or isinstance(val, bool) or val < 0:
+        raise ConfigError(f"master_seed: expected an integer >= 0, got {val!r}")
+    return val
 
 
 def _user_from(obj: Any, path: str) -> UserSpec:
@@ -49,7 +72,7 @@ def _user_from(obj: Any, path: str) -> UserSpec:
         cycles_per_bit=_number(obj, "cycles_per_bit", path + ".", minimum=0.0),
         cpu_freq=_number(obj, "cpu_freq_hz", path + ".", minimum=0.0),
         kappa=_number(obj, "kappa", path + ".", minimum=0.0),
-        distance=float(obj.get("distance_m", 0.0)),
+        distance=_number(obj, "distance_m", path + ".", default=0.0),
     )
 
 
@@ -67,7 +90,12 @@ def load_config(path: str) -> LoadedScenario:
     users_raw = _need(raw, "users", "")
     if not isinstance(users_raw, list) or not users_raw:
         raise ConfigError("users: expected a nonempty list")
-    users = tuple(_user_from(u, f"users[{i}]") for i, u in enumerate(users_raw))
+    users = []
+    for i, u in enumerate(users_raw):
+        try:
+            users.append(_user_from(u, f"users[{i}]"))
+        except UsageError as exc:
+            raise ConfigError(f"users[{i}]: {exc}") from exc
 
     server = None
     if raw.get("server") is not None:
@@ -83,15 +111,14 @@ def load_config(path: str) -> LoadedScenario:
     config = ScenarioConfig(
         bandwidth=_number(raw, "bandwidth_hz", "", minimum=0.0),
         noise_density_dbm=_number(raw, "noise_density_dbm", ""),
-        users=users,
+        users=tuple(users),
         p_max=_number(raw, "p_max_w", "", minimum=0.0),
         e_max=_number(raw, "e_max_j", "", minimum=0.0),
-        path_loss_exp=float(raw.get("path_loss_exp", 3.76)),
-        cell_radius=float(raw.get("cell_radius_m", 500.0)),
+        path_loss_exp=_number(raw, "path_loss_exp", "", minimum=0.0, default=3.76),
+        cell_radius=_number(raw, "cell_radius_m", "", minimum=0.0, default=500.0),
         server=server,
     )
-    master_seed = int(raw.get("master_seed", 0))
-    return LoadedScenario(config=config, master_seed=master_seed)
+    return LoadedScenario(config=config, master_seed=_seed(raw))
 
 
 def config_to_dict(config: ScenarioConfig, master_seed: int) -> dict:

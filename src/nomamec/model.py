@@ -43,6 +43,12 @@ class UsageError(ValueError):
     """Raised when a caller violates a documented precondition."""
 
 
+def _require_positive(**values: float) -> None:
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise UsageError(f"{name} must be finite and > 0")
+
+
 @dataclass(frozen=True)
 class UserSpec:
     """One mobile user's task and compute capability.
@@ -62,16 +68,14 @@ class UserSpec:
     distance: float = 0.0
 
     def __post_init__(self):
-        if self.task_bits <= 0:
-            raise UsageError("task_bits must be > 0")
-        if self.cycles_per_bit <= 0:
-            raise UsageError("cycles_per_bit must be > 0")
-        if self.cpu_freq <= 0:
-            raise UsageError("cpu_freq must be > 0")
-        if self.kappa <= 0:
-            raise UsageError("kappa must be > 0")
-        if self.distance < 0:
-            raise UsageError("distance must be >= 0")
+        _require_positive(
+            task_bits=self.task_bits,
+            cycles_per_bit=self.cycles_per_bit,
+            cpu_freq=self.cpu_freq,
+            kappa=self.kappa,
+        )
+        if not (math.isfinite(self.distance) and self.distance >= 0):
+            raise UsageError("distance must be finite and >= 0")
 
     @property
     def local_full_time(self) -> float:
@@ -93,8 +97,11 @@ class ServerSpec:
     kappa: float
 
     def __post_init__(self):
-        if self.cycles_per_bit <= 0 or self.cpu_freq <= 0 or self.kappa <= 0:
-            raise UsageError("server parameters must be strictly positive")
+        _require_positive(
+            server_cycles_per_bit=self.cycles_per_bit,
+            server_cpu_freq=self.cpu_freq,
+            server_kappa=self.kappa,
+        )
 
 
 @dataclass(frozen=True)
@@ -117,16 +124,17 @@ class ScenarioConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "users", tuple(self.users))
-        if self.bandwidth <= 0:
-            raise UsageError("bandwidth must be > 0")
-        if self.p_max <= 0:
-            raise UsageError("p_max must be > 0")
-        if self.e_max <= 0:
-            raise UsageError("e_max must be > 0")
+        _require_positive(
+            bandwidth=self.bandwidth,
+            p_max=self.p_max,
+            e_max=self.e_max,
+            path_loss_exp=self.path_loss_exp,
+            cell_radius=self.cell_radius,
+        )
+        if not math.isfinite(self.noise_density_dbm):
+            raise UsageError("noise_density_dbm must be finite")
         if not self.users:
             raise UsageError("users must be nonempty")
-        if self.path_loss_exp <= 0:
-            raise UsageError("path_loss_exp must be > 0")
 
     @property
     def num_users(self) -> int:
@@ -150,8 +158,8 @@ class ChannelRealization:
         object.__setattr__(self, "gains", gains)
         if not gains:
             raise UsageError("gains must be nonempty")
-        if any(g <= 0 for g in gains):
-            raise UsageError("gains must be strictly positive")
+        if not all(math.isfinite(g) and g > 0 for g in gains):
+            raise UsageError("gains must be finite and strictly positive")
         if any(gains[i] > gains[i + 1] for i in range(len(gains) - 1)):
             raise UsageError("gains must be sorted ascending (SIC decode order)")
         if not self.sic_order:

@@ -9,9 +9,9 @@ and convergence is geometric.
 
 The inner oracle minimizes the maximum normalized constraint violation,
 a convex function of (beta, p) for a fixed trial delay. It screens a few
-structured candidate points, runs projected subgradient steps with
-Polyak-type target-zero step sizes, and escalates to an SLSQP epigraph
-polish when no certificate was reached within the iteration budget.
+structured candidate points (least offload, full offload, the previous
+step's witness) and, when none of them certifies feasibility, runs an
+SLSQP epigraph polish from the best one with the analytic Jacobian.
 """
 
 from __future__ import annotations
@@ -50,6 +50,13 @@ class InfeasibleScenarioError(RuntimeError):
 
 @dataclass(frozen=True)
 class FeasibilityReport:
+    """Verdict of one oracle call.
+
+    uncertain marks an infeasible verdict that SLSQP reached without
+    converging. inner_iterations is always 0: the oracle has no iterative
+    stage of its own; the field stays for callers that read it.
+    """
+
     feasible: bool
     witness: Optional[Allocation]
     residual: float
@@ -59,12 +66,19 @@ class FeasibilityReport:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """Bisection outcome.
+
+    uncertain_verdicts counts the oracle calls of the bisection steps and
+    the certification whose report was uncertain.
+    """
+
     optimal_delay: float
     allocation: Allocation
     iterations: int
     trace: tuple
     converged: bool
     feasibility_residual: float
+    uncertain_verdicts: int
 
 
 def init_bounds(config: ScenarioConfig) -> tuple[float, float]:
@@ -88,6 +102,7 @@ class _Problem:
         self.local_coef = np.array([u.local_full_time for u in config.users])
         self.energy_coef = np.array([u.local_full_energy for u in config.users])
         self.prefix_bits_scale = np.cumsum(self.task_bits)
+        self.tril = np.tril(np.ones((self.n, self.n)))
         self.alpha_scale = float(self.local_coef.max())
         if config.server is not None:
             self.server_coef = config.server.cycles_per_bit / config.server.cpu_freq
@@ -105,32 +120,24 @@ class _Problem:
         energy_res = (self.energy_coef * (1.0 - beta) + alpha * p - self.e_max) / self.e_max
         return np.concatenate([rate_res, local_res, energy_res])
 
-    def subgradient(
-        self, alpha: float, beta: np.ndarray, p: np.ndarray, idx: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Gradient of residual component idx with respect to (beta, p)."""
+    def jacobian(self, alpha: float, beta: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """(3M x 2M) Jacobian of residuals with respect to (beta, p)."""
         n = self.n
-        gb = np.zeros(n)
-        gp = np.zeros(n)
-        if idx < n:  # rate constraint of prefix m
-            m = idx + 1
-            scale = self.prefix_bits_scale[idx]
-            snr_m = 1.0 + float(np.dot(self.g[:m], p[:m]))
-            rate_m = self.bandwidth * math.log2(snr_m)
-            t_srv = self.server_coef * float(np.dot(beta, self.task_bits))
-            gb[:m] = self.task_bits[:m]
-            gb += self.server_coef * self.task_bits * rate_m
-            gb /= scale
-            gp[:m] = -(alpha - t_srv) * self.bandwidth * self.g[:m] / (snr_m * _LN2)
-            gp /= scale
-        elif idx < 2 * n:  # local compute time of user idx-n
-            u = idx - n
-            gb[u] = -self.local_coef[u] / self.alpha_scale
-        else:  # energy budget of user idx-2n
-            u = idx - 2 * n
-            gb[u] = -self.energy_coef[u] / self.e_max
-            gp[u] = alpha / self.e_max
-        return gb, gp
+        snr = 1.0 + np.cumsum(self.g * p)
+        rate = self.bandwidth * np.log2(snr)
+        t_srv = self.server_coef * float(np.dot(beta, self.task_bits))
+        scale = self.prefix_bits_scale[:, None]
+        # rate row m depends on (beta_j, p_j) for j <= m, and on every
+        # beta_j through the server time
+        srv_b = np.outer(rate, self.server_coef * self.task_bits)
+        rate_b = (self.tril * self.task_bits + srv_b) / scale
+        rate_p = self.tril * (-(alpha - t_srv) * self.bandwidth * self.g)
+        rate_p = rate_p / (snr[:, None] * _LN2) / scale
+        return np.block([
+            [rate_b, rate_p],
+            [np.diag(-self.local_coef / self.alpha_scale), np.zeros((n, n))],
+            [np.diag(-self.energy_coef / self.e_max), np.diag(np.full(n, alpha / self.e_max))],
+        ])
 
     def power_cap(self, alpha: float, beta: np.ndarray) -> np.ndarray:
         """Max per-user power the energy budget allows at this delay."""
@@ -183,12 +190,9 @@ def _slsqp_polish(prob: _Problem, alpha: float, x0: np.ndarray, phi0: float):
 
     def cons_jac(z):
         beta, p = split(z[:nx])
-        jac = np.zeros((3 * n, nx + 1))
-        for i in range(3 * n):
-            gb, gp = prob.subgradient(alpha, beta, p, i)
-            jac[i, :n] = -gb
-            jac[i, n : 2 * n] = -gp * prob.p_max
-        jac[:, nx] = 1.0
+        jac = np.ones((3 * n, nx + 1))  # last column: the epigraph variable s
+        jac[:, :nx] = -prob.jacobian(alpha, beta, p)
+        jac[:, n:nx] *= prob.p_max
         return jac
 
     z0 = np.concatenate([x0, [phi0 + 1e-6]])
@@ -214,7 +218,6 @@ def check_feasibility(
     config: ScenarioConfig,
     eps_feas: float = 1e-8,
     warm: Optional[Allocation] = None,
-    max_inner: int = 5000,
     fixed_betas: Optional[Sequence[float]] = None,
 ) -> FeasibilityReport:
     """Decide whether any allocation meets every constraint at delay alpha.
@@ -223,6 +226,8 @@ def check_feasibility(
     With ``fixed_betas`` the search runs over powers only; the per-user
     energy cap then decides feasibility exactly with no iterations.
     """
+    if not (math.isfinite(eps_feas) and eps_feas > 0):
+        raise UsageError("eps_feas must be finite and > 0")
     prob = _Problem(gains, config)
     n = prob.n
     if alpha <= 0.0:
@@ -258,7 +263,6 @@ def check_feasibility(
             best_phi, best_beta, best_p = phi, cb, cp
 
     target = 0.5 * eps_feas
-    iterations = 0
     uncertain = False
 
     if not free_beta:
@@ -267,31 +271,6 @@ def check_feasibility(
         feasible = best_phi <= eps_feas
         witness = Allocation(betas=tuple(fixed), powers=tuple(best_p))
         return FeasibilityReport(feasible, witness, best_phi, 0)
-
-    if best_phi > target:
-        # projected subgradient with Polyak target-zero steps
-        x = np.concatenate([best_beta, best_p / prob.p_max])
-        last_improve = 0
-        for k in range(1, max_inner + 1):
-            iterations = k
-            beta = x[:n]
-            p = x[n:] * prob.p_max
-            res = prob.residuals(alpha, beta, p)
-            phi = float(res.max())
-            if phi < best_phi:
-                best_phi, best_beta, best_p = phi, beta.copy(), p.copy()
-                last_improve = k
-            if phi <= target:
-                break
-            gb, gp = prob.subgradient(alpha, beta, p, int(res.argmax()))
-            grad = np.concatenate([gb, gp * prob.p_max])
-            norm2 = float(np.dot(grad, grad))
-            if norm2 <= 0.0:
-                break
-            step = (phi + target) / norm2
-            x = np.clip(x - step * grad, 0.0, 1.0)
-            if k - last_improve > 300:
-                break  # stalled; hand over to the polish stage
 
     if best_phi > target:
         x0 = np.concatenate([best_beta, best_p / prob.p_max])
@@ -305,7 +284,7 @@ def check_feasibility(
         betas=tuple(np.clip(best_beta, 0.0, 1.0)),
         powers=tuple(np.clip(best_p, 0.0, prob.p_max)),
     )
-    return FeasibilityReport(best_phi <= eps_feas, witness, best_phi, iterations, uncertain)
+    return FeasibilityReport(best_phi <= eps_feas, witness, best_phi, 0, uncertain)
 
 
 def bss_solve(
@@ -325,8 +304,8 @@ def bss_solve(
     Raises InfeasibleScenarioError when even the upper bound (every task
     computed locally, or the caller-supplied bracket top) is infeasible.
     """
-    if eps <= 0:
-        raise UsageError("eps must be > 0")
+    if not (math.isfinite(eps) and eps > 0):
+        raise UsageError("eps must be finite and > 0")
     lo, hi = init_bounds(config)
     if alpha_max is not None:
         hi = alpha_max
@@ -338,12 +317,14 @@ def bss_solve(
         )
     witness = top.witness
     trace = []
+    uncertain = 0
     while hi - lo > eps:
         mid = 0.5 * (lo + hi)
         rep = check_feasibility(
             mid, gains, config, eps_feas, warm=witness, fixed_betas=fixed_betas
         )
         trace.append((mid, rep.feasible))
+        uncertain += rep.uncertain
         if rep.feasible:
             hi = mid
             witness = rep.witness
@@ -354,6 +335,7 @@ def bss_solve(
     cert = check_feasibility(
         alpha_star + eps, gains, config, eps_feas, warm=witness, fixed_betas=fixed_betas
     )
+    uncertain += cert.uncertain
     if cert.feasible:
         witness = cert.witness
         residual = cert.residual
@@ -369,4 +351,5 @@ def bss_solve(
         trace=tuple(trace),
         converged=converged,
         feasibility_residual=residual,
+        uncertain_verdicts=uncertain,
     )

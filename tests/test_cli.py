@@ -1,10 +1,13 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from nomamec.cli import SWEEP_COLUMNS, main, run_sweep
-from nomamec.configio import load_config
+from nomamec.configio import ConfigError, load_config
 from conftest import S1_MASTER_SEED
 
 
@@ -57,6 +60,63 @@ class TestConfig:
         path.write_text("{not json")
         assert main(["solve", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+SERVER = {"cycles_per_bit": 1e3, "cpu_freq_hz": 1e10, "kappa": 1e-28}
+TOP_NUMBERS = ("bandwidth_hz", "noise_density_dbm", "p_max_w", "e_max_j",
+               "path_loss_exp", "cell_radius_m", "master_seed")
+USER_NUMBERS = ("task_bits", "cycles_per_bit", "cpu_freq_hz", "kappa", "distance_m")
+NUMERIC_FIELDS = (
+    [(key,) for key in TOP_NUMBERS]
+    + [("users", 1, key) for key in USER_NUMBERS]
+    + [("server", key) for key in SERVER]
+)
+
+
+class TestBadNumbers:
+    """Non-finite or non-numeric values end in ConfigError and exit code 2."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        field_path=st.sampled_from(NUMERIC_FIELDS),
+        bad=st.one_of(st.sampled_from([math.nan, math.inf, -math.inf]), st.text(max_size=6)),
+    )
+    # inputs that got past validation: a NaN bandwidth ended in a traceback,
+    # a string exponent in a bare ValueError, an infinite budget was solved
+    @example(field_path=("bandwidth_hz",), bad=math.nan)
+    @example(field_path=("path_loss_exp",), bad="x")
+    @example(field_path=("p_max_w",), bad=math.inf)
+    def test_every_numeric_field(self, tmp_path, capsys, field_path, bad):
+        with open(write_config(tmp_path), encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        cfg["server"] = dict(SERVER)
+        target = cfg
+        for key in field_path[:-1]:
+            target = target[key]
+        target[field_path[-1]] = bad
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))  # NaN and Infinity are JSON extensions
+        with pytest.raises(ConfigError) as err:
+            load_config(str(path))
+        assert field_path[-1] in str(err.value)
+        assert main(["solve", str(path), "--out", str(tmp_path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--eps", "--eps-feas"])
+    def test_non_finite_tolerance_exit_2(self, tmp_path, capsys, flag):
+        path = write_config(tmp_path)
+        assert main(["solve", path, "--method", "bss", flag, "nan", "--out", str(tmp_path)]) == 2
+        sweep = ["sweep", path, "--axis", "p_max", "--values", "0.01", "--schemes", "noma-full",
+                 flag, "inf", "--out", str(tmp_path)]
+        assert main(sweep) == 2
+        assert "eps" in capsys.readouterr().err
+
+    def test_negative_distance_is_config_error(self, tmp_path):
+        users = [{"task_bits": 1.6e6, "cycles_per_bit": 1e3, "cpu_freq_hz": 1e9,
+                  "kappa": 1e-27, "distance_m": -5.0}]
+        with pytest.raises(ConfigError, match=r"users\[0\]"):
+            load_config(write_config(tmp_path, users=users))
 
 
 class TestSolveCommand:

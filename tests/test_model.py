@@ -263,3 +263,23 @@ class TestValidation:
             Allocation(betas=(1.5,), powers=(0.0,))
         with pytest.raises(UsageError):
             Allocation(betas=(0.5, 0.5), powers=(0.0,))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_numbers_rejected(self, bad):
+        base = dict(
+            bandwidth=1e6, noise_density_dbm=-174.0, users=(make_user(),), p_max=0.01, e_max=0.2
+        )
+        for field_name in ("bandwidth", "noise_density_dbm", "p_max", "e_max",
+                           "path_loss_exp", "cell_radius"):
+            with pytest.raises(UsageError):
+                ScenarioConfig(**dict(base, **{field_name: bad}))
+        for field_name in ("task_bits", "cycles_per_bit", "cpu_freq", "kappa", "distance"):
+            kwargs = dict(task_bits=1.6e6, cycles_per_bit=1e3, cpu_freq=1e9, kappa=1e-27)
+            with pytest.raises(UsageError):
+                UserSpec(**dict(kwargs, **{field_name: bad}))
+        for field_name in ("cycles_per_bit", "cpu_freq", "kappa"):
+            kwargs = dict(cycles_per_bit=1e3, cpu_freq=1e10, kappa=1e-28)
+            with pytest.raises(UsageError):
+                ServerSpec(**dict(kwargs, **{field_name: bad}))
+        with pytest.raises(UsageError):
+            ChannelRealization(gains=(1.0, bad))
