@@ -24,6 +24,7 @@ from .solver import InfeasibleScenarioError, bss_solve, check_feasibility, init_
 
 __all__ = [
     "SchemeResult",
+    "check_circuit_power",
     "metrics",
     "solve_noma_partial",
     "solve_noma_full_offload",
@@ -47,6 +48,20 @@ class SchemeResult:
     case_label: str = ""
 
 
+def check_circuit_power(p_circuit: float) -> None:
+    """Reject a circuit power that is negative or not finite."""
+    if not (math.isfinite(p_circuit) and p_circuit >= 0):
+        raise UsageError(f"p_circuit must be finite and >= 0, got {p_circuit!r}")
+
+
+def _efficiencies(rate: float, total_p: float, p_circuit: float) -> tuple[float, float]:
+    """(energy efficiency, power efficiency) of a sum rate at a radiated power."""
+    check_circuit_power(p_circuit)
+    ee = rate / (total_p + p_circuit) if total_p + p_circuit > 0 else 0.0
+    pe = rate / total_p if total_p > 0 else math.nan
+    return ee, pe
+
+
 def metrics(
     alloc: Allocation,
     gains,
@@ -58,13 +73,8 @@ def metrics(
     Power efficiency is rate per radiated watt and is nan when nothing
     is transmitted.
     """
-    if p_circuit < 0:
-        raise UsageError("p_circuit must be >= 0")
     rate = sum_rate(gains, alloc.powers, config.bandwidth, config.num_users)
-    total_p = float(sum(alloc.powers))
-    ee = rate / (total_p + p_circuit) if total_p + p_circuit > 0 else 0.0
-    pe = rate / total_p if total_p > 0 else math.nan
-    return rate, ee, pe
+    return (rate, *_efficiencies(rate, float(sum(alloc.powers)), p_circuit))
 
 
 def _as_result(
@@ -176,8 +186,7 @@ def solve_ofdma_partial(
     alloc = Allocation(betas=tuple(betas), powers=tuple(powers))
     total_p = float(sum(powers))
     label = "ofdma-partial-1rb" if rb_count == 1 else "ofdma-partial-mrb"
-    ee = rate_total / (total_p + p_circuit) if total_p + p_circuit > 0 else 0.0
-    pe = rate_total / total_p if total_p > 0 else math.nan
+    ee, pe = _efficiencies(rate_total, total_p, p_circuit)
     return SchemeResult(
         scheme=label,
         delay=delay,
@@ -192,6 +201,7 @@ def solve_ofdma_partial(
 
 def full_local_delay(config: ScenarioConfig, gains=None, p_circuit: float = DEFAULT_CIRCUIT_POWER) -> SchemeResult:
     """Everything computed on the devices; nothing transmitted."""
+    check_circuit_power(p_circuit)
     for i, u in enumerate(config.users):
         if u.local_full_energy > config.e_max:
             raise InfeasibleScenarioError(

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import (
+    check_circuit_power,
     full_local_delay,
     solve_noma_full_offload,
     solve_noma_partial,
@@ -26,7 +27,7 @@ from .baselines import (
 )
 from .closed_form import EqualTimeInfeasible, TwoUserParams, solve_two_user
 from .configio import ConfigError, LoadedScenario, config_to_dict, load_config
-from .lambertw import lambert_w0
+from .lambertw import BRANCH_POINT, lambert_w0, lambert_wm1
 from .model import Allocation, ChannelRealization, ScenarioConfig, UsageError, user_rate, sum_rate
 from .oracle import grid_oracle_two_user
 from .scenario import RNG_SCHEME, Seed, generate_channels, reorder_users, rng_for
@@ -77,11 +78,10 @@ def _apply_axis(config: ScenarioConfig, axis: str, value: float) -> ScenarioConf
     if axis == "bandwidth":
         return replace(config, bandwidth=value)
     if axis == "user_count":
-        count = int(value)
-        if count < 1:
-            raise UsageError("user_count values must be >= 1")
+        if not float(value).is_integer() or value < 1:
+            raise UsageError(f"user_count values must be whole numbers >= 1, got {value!r}")
         base = config.users
-        users = tuple(base[i % len(base)] for i in range(count))
+        users = tuple(base[i % len(base)] for i in range(int(value)))
         return replace(config, users=users)
     raise UsageError(f"unknown axis {axis!r}; choose from {AXES}")
 
@@ -122,11 +122,12 @@ def run_sweep(
     for s in schemes:
         if s not in SCHEMES:
             raise UsageError(f"unknown scheme {s!r}; choose from {SCHEMES}")
+    check_circuit_power(p_circuit)
+    points = [_apply_axis(loaded.config, axis, value) for value in values]
     os.makedirs(out_dir, exist_ok=True)
 
     rows = []
-    for vi, value in enumerate(values):
-        cfg_point = _apply_axis(loaded.config, axis, value)
+    for vi, (value, cfg_point) in enumerate(zip(values, points)):
         for trial in range(n_seeds):
             seed = Seed(master=loaded.master_seed, trial=trial)
             # user_count sweeps keep one stream per (trial, user) so the
@@ -268,7 +269,10 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     loaded = load_config(args.config)
-    values = [float(v) for v in args.values.split(",") if v]
+    try:
+        values = [float(v) for v in args.values.split(",") if v]
+    except ValueError as exc:
+        raise UsageError(f"--values: {exc}") from None
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
     out_dir = args.out or os.environ.get(_OUT_ENV, ".")
     csv_path, mean_path, manifest_path = run_sweep(
@@ -322,12 +326,20 @@ def _verify_scenario(loaded: LoadedScenario, gains_override: Optional[str]) -> l
             worst = max(worst, abs(total - split) / total)
     checks.append(("rate telescoping <= 1e-9", worst <= 1e-9, f"worst {worst:.2e}"))
 
-    worst_w = 0.0
-    for t in np.logspace(-12, 6, 200):
-        x = float(-math.exp(-1.0) + t)
-        w = lambert_w0(x)
-        worst_w = max(worst_w, abs(w * math.exp(w) - x) / max(1.0, abs(x)))
-    checks.append(("lambert w identity <= 1e-12", worst_w <= 1e-12, f"worst {worst_w:.2e}"))
+    # W0 residuals are scaled by max(1, |x|); W-1 residuals by |x|, since
+    # its domain reaches down to -1e-300
+    near_branch = BRANCH_POINT + np.logspace(-12, math.log10(0.3), 100)
+    lambert_grids = (
+        ("lambert w identity <= 1e-12", lambert_w0, BRANCH_POINT + np.logspace(-12, 6, 200), 1.0),
+        ("lambert w-1 identity <= 1e-12", lambert_wm1,
+         np.concatenate([near_branch, -np.logspace(-300, -1, 100)]), 0.0),
+    )
+    for name, branch, xs, floor in lambert_grids:
+        worst_w = 0.0
+        for x in map(float, xs):
+            w = branch(x)
+            worst_w = max(worst_w, abs(w * math.exp(w) - x) / max(floor, abs(x)))
+        checks.append((name, worst_w <= 1e-12, f"worst {worst_w:.2e}"))
 
     try:
         res = bss_solve(realization, cfg_run)

@@ -1,43 +1,25 @@
-"""Real-branch Lambert W evaluation via Halley iteration.
+"""Real-branch Lambert W: thin wrappers around scipy.special.lambertw.
 
 Both real branches are provided: lambert_w0 on [-1/e, inf) and
-lambert_wm1 on [-1/e, 0). Initial guesses come from the branch-point
-series near -1/e and log-based asymptotics elsewhere; Halley's method
-then drives the residual w*exp(w) - x below 1e-12 * max(1, |x|).
+lambert_wm1 on [-1/e, 0). Within 1e-8 of the branch point scipy's W-1
+collapses to about -1 (residual up to 2e-9), so both branches use the
+third-order branch-point series there (residual below 1e-16); at -1/e
+itself, where scipy returns nan, both return exactly -1. Elsewhere
+scipy's residual w*exp(w) - x stays below 1e-12 * max(1, |x|).
 """
 
 from __future__ import annotations
 
 import math
 
+from scipy.special import lambertw
+
 __all__ = ["lambert_w0", "lambert_wm1", "BRANCH_POINT"]
 
 BRANCH_POINT = -math.exp(-1.0)  # -1/e, left edge of both real branches
 
-_RESIDUAL_TOL = 1e-13
-_MAX_ITER = 80
-
-
-def _halley(w: float, x: float) -> float:
-    """Polish w toward w*e^w = x. Safe near w = -1 where Halley degenerates."""
-    for _ in range(_MAX_ITER):
-        ew = math.exp(w)
-        f = w * ew - x
-        if abs(f) <= _RESIDUAL_TOL * max(1.0, abs(x)):
-            break
-        wp1 = w + 1.0
-        if abs(wp1) < 1e-12:
-            # flat region at the branch point; the series guess is already
-            # as good as the residual metric can distinguish
-            break
-        denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
-        step = f / denom
-        # keep the iterate on the correct side of the branch point
-        w_new = w - step
-        if w_new < -1.0 and x > BRANCH_POINT and w >= -1.0:
-            w_new = -0.5 * (1.0 + w)  # bisect back toward the principal branch
-        w = w_new
-    return w
+_SERIES_BAND = 1e-8  # x - BRANCH_POINT below which the series replaces scipy
+_ROUNDING_BAND = 1e-15 * abs(BRANCH_POINT)  # x this far below -1/e still maps to -1
 
 
 def _branch_series(x: float, sign: float) -> float:
@@ -46,33 +28,26 @@ def _branch_series(x: float, sign: float) -> float:
     return -1.0 + p - p * p / 3.0 + 11.0 / 72.0 * p**3
 
 
+def _evaluate(name: str, x: float, k: int) -> float:
+    """W_k(x) for k in (0, -1); ValueError below the branch point or on nan."""
+    if math.isnan(x):
+        raise ValueError(f"{name}: nan input")
+    if x <= BRANCH_POINT:
+        if x > BRANCH_POINT - _ROUNDING_BAND:
+            return -1.0  # the branch point, up to rounding
+        raise ValueError(f"{name}: x={x!r} below the branch point -1/e")
+    if x < BRANCH_POINT + _SERIES_BAND:
+        return _branch_series(x, 1.0 if k == 0 else -1.0)
+    return float(lambertw(x, k).real)
+
+
 def lambert_w0(x: float) -> float:
     """Principal branch: the w >= -1 solving w * exp(w) = x.
 
     Domain x >= -1/e; raises ValueError outside (callers treat that as
     "no tight solution exists").
     """
-    if math.isnan(x):
-        raise ValueError("lambert_w0: nan input")
-    if x < BRANCH_POINT:
-        if x > BRANCH_POINT - 1e-15 * abs(BRANCH_POINT):
-            return -1.0  # rounding at the branch point
-        raise ValueError(f"lambert_w0: x={x!r} below the branch point -1/e")
-    if x == BRANCH_POINT:
-        return -1.0
-    if x == 0.0:
-        return 0.0
-
-    if x < -0.25:
-        w = _branch_series(x, +1.0)
-    elif x < 2.0:
-        # rough rational seed near zero, fine for Halley
-        w = x / (1.0 + x) if x > -0.2 else x
-    else:
-        l1 = math.log(x)
-        l2 = math.log(l1)
-        w = l1 - l2 + l2 / l1
-    return _halley(w, x)
+    return _evaluate("lambert_w0", x, 0)
 
 
 def lambert_wm1(x: float) -> float:
@@ -80,35 +55,6 @@ def lambert_wm1(x: float) -> float:
 
     Domain -1/e <= x < 0.
     """
-    if math.isnan(x):
-        raise ValueError("lambert_wm1: nan input")
     if x >= 0.0:
         raise ValueError("lambert_wm1: domain is [-1/e, 0)")
-    if x < BRANCH_POINT:
-        if x > BRANCH_POINT - 1e-15 * abs(BRANCH_POINT):
-            return -1.0
-        raise ValueError(f"lambert_wm1: x={x!r} below the branch point -1/e")
-    if x == BRANCH_POINT:
-        return -1.0
-
-    if x > -0.25:
-        # asymptotic seed near zero: w ~ ln(-x) - ln(-ln(-x)), refined once
-        l1 = math.log(-x)
-        w = l1 - math.log(-l1)
-    else:
-        w = _branch_series(x, -1.0)
-
-    for _ in range(_MAX_ITER):
-        ew = math.exp(w)
-        f = w * ew - x
-        if abs(f) <= _RESIDUAL_TOL * max(1.0, abs(x)):
-            return w
-        wp1 = w + 1.0
-        if abs(wp1) < 1e-12:
-            return w
-        denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
-        w_new = w - f / denom
-        if w_new > -1.0:
-            w_new = -1.0 - 0.5 * abs(wp1)  # stay on the secondary branch
-        w = w_new
-    return w
+    return _evaluate("lambert_wm1", x, -1)

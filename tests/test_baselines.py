@@ -53,6 +53,18 @@ class TestMetrics:
         with pytest.raises(UsageError):
             metrics(alloc, (1e4, 1e5), cfg, p_circuit=-0.1)
 
+    @pytest.mark.parametrize("p_circuit", [-0.1, math.nan, math.inf])
+    def test_every_scheme_rejects_bad_circuit_power(self, p_circuit):
+        cfg = light_config(e_max=2.0)
+        gains = (1e4, 1e5)
+        alloc = Allocation(betas=(0.0, 0.0), powers=(0.0, 0.0))
+        with pytest.raises(UsageError):
+            metrics(alloc, gains, cfg, p_circuit=p_circuit)
+        with pytest.raises(UsageError):
+            solve_ofdma_partial(gains, cfg, 1, eps=1e-2, p_circuit=p_circuit)
+        with pytest.raises(UsageError):
+            full_local_delay(cfg, p_circuit=p_circuit)
+
 
 class TestFullLocal:
     def test_s1_like_parameters(self):

@@ -229,6 +229,31 @@ class TestSweepCommand:
         np.array([float(r[4]) for r in rows])  # delays parse as floats
 
 
+class TestSweepBadInput:
+    """Bad sweep values and circuit powers exit 2 before anything is solved."""
+
+    @pytest.mark.parametrize("values", ["nan", "inf", "2.5", "0", "-3", "2,x"])
+    def test_user_count_values_exit_2(self, tmp_path, capsys, values):
+        path = write_config(tmp_path)
+        out_dir = tmp_path / "out"
+        rc = main(["sweep", path, "--axis", "user_count", "--values", values,
+                   "--schemes", "local", "--out", str(out_dir)])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (out_dir / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("scheme", ["noma-partial", "ofdma-partial-1rb", "local"])
+    @pytest.mark.parametrize("pc", ["-1", "nan", "inf"])
+    def test_circuit_power_exit_2(self, tmp_path, capsys, scheme, pc):
+        path = write_config(tmp_path, e_max_j=2.0)
+        out_dir = tmp_path / "out"
+        rc = main(["sweep", path, "--axis", "e_max", "--values", "2", "--schemes", scheme,
+                   "--pc", pc, "--out", str(out_dir)])
+        assert rc == 2
+        assert "p_circuit" in capsys.readouterr().err
+        assert not (out_dir / "sweep.csv").exists()
+
+
 class TestAxisApplication:
     def test_all_axes_modify_the_right_field(self, tmp_path):
         from nomamec.cli import _apply_axis

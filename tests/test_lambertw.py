@@ -59,6 +59,19 @@ class TestSecondaryBranch:
                 continue
             assert residual(lambert_wm1(x), x) <= 1e-12
 
+    def test_across_series_switch(self):
+        # the branch-point series hands over to scipy at BRANCH_POINT + 1e-8
+        xs = BRANCH_POINT + 1e-8 + np.linspace(-5e-9, 5e-9, 1001)
+        ws = [lambert_wm1(float(x)) for x in xs]
+        assert all(b < a for a, b in zip(ws, ws[1:]))
+        assert max(residual(w, float(x)) for w, x in zip(ws, xs)) <= 1e-12
+
+    def test_relative_identity_near_zero(self):
+        # scaling by max(1, |x|) hides a wrong answer for tiny |x|
+        for x in -np.logspace(-300, -1, 300):
+            w = lambert_wm1(float(x))
+            assert abs(w * math.exp(w) - x) <= 1e-12 * abs(x)
+
     def test_below_principal(self):
         for x in [-0.3, -0.1, -0.01, -1e-4]:
             assert lambert_wm1(x) < -1.0 < lambert_w0(x) + 1.0
