@@ -159,8 +159,12 @@ def solve_ofdma_partial(
 
     rb_count must be 1 (all users squeezed into one block) or M (one
     block each). Metrics use the orthogonal-band rate of each user's
-    slice rather than the shared-band formula.
+    slice rather than the shared-band formula. Each user's ratio and
+    power are the exact oracle's minimum-energy allocation at its
+    reported delay plus eps, so the rate, power and efficiency figures
+    describe that point.
     """
+    check_circuit_power(p_circuit)
     g = gains.gains if isinstance(gains, ChannelRealization) else tuple(gains)
     m = config.num_users
     if rb_count not in (1, m):

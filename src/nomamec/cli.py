@@ -119,6 +119,12 @@ def run_sweep(
     """
     if axis not in AXES:
         raise UsageError(f"unknown axis {axis!r}; choose from {AXES}")
+    if not values:
+        raise UsageError("a sweep needs at least one axis value")
+    if not schemes:
+        raise UsageError("a sweep needs at least one scheme")
+    if n_seeds < 1:
+        raise UsageError(f"a sweep needs at least one seed, got {n_seeds}")
     for s in schemes:
         if s not in SCHEMES:
             raise UsageError(f"unknown scheme {s!r}; choose from {SCHEMES}")
@@ -196,6 +202,8 @@ def run_sweep(
 
 
 def _cmd_solve(args) -> int:
+    if args.trial < 0:
+        raise UsageError(f"--trial must be >= 0, got {args.trial}")
     loaded = load_config(args.config)
     config = loaded.config
     seed = Seed(master=loaded.master_seed, trial=args.trial)

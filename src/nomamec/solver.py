@@ -12,6 +12,22 @@ a convex function of (beta, p) for a fixed trial delay. It screens a few
 structured candidate points (least offload, full offload, the previous
 step's witness) and, when none of them certifies feasibility, runs an
 SLSQP epigraph polish from the best one with the analytic Jacobian.
+
+One user with free ratios and no edge server (every OFDMA subproblem)
+is decided exactly in O(1) instead. With L task bits, T and E_l the
+fully-local time and energy, g the gain and B the band, at delay alpha
+the largest share the rate allows is
+beta(p) = min(1, alpha B log2(1 + g p) / L). The local-time constraint
+needs p >= p_lo = (2^((L/B)(1/alpha - 1/T)) - 1) / g, and the energy
+E_l (1 - beta(p)) + alpha p is convex in p with its minimum at
+clip(p_s, 0, p_full), where p_s = E_l B / (L ln 2) - 1/g is the
+stationary point and p_full = (2^(L/(alpha B)) - 1) / g the power at
+which beta(p) reaches 1. Clipping that point to [p_lo, p_max] gives the
+minimum-energy admissible allocation, and the verdict is its max
+normalized residual against eps_feas. That residual is not the minimax
+one, so inside the (0, eps_feas] band the exact verdict is stricter than
+the general oracle's: it may say infeasible where SLSQP found a point
+violating every constraint by less than eps_feas.
 """
 
 from __future__ import annotations
@@ -52,9 +68,13 @@ class InfeasibleScenarioError(RuntimeError):
 class FeasibilityReport:
     """Verdict of one oracle call.
 
+    residual is the max normalized violation at the witness: the minimax
+    value in general, but for the exact single-user branch (one user,
+    free ratios, no server) the violation at the minimum-energy point.
     uncertain marks an infeasible verdict that SLSQP reached without
-    converging. inner_iterations is always 0: the oracle has no iterative
-    stage of its own; the field stays for callers that read it.
+    converging; the exact branch is never uncertain. inner_iterations is
+    always 0: the oracle has no iterative stage of its own; the field
+    stays for callers that read it.
     """
 
     feasible: bool
@@ -212,6 +232,40 @@ def _slsqp_polish(prob: _Problem, alpha: float, x0: np.ndarray, phi0: float):
     return x, phi, bool(res.success)
 
 
+def _pow2m1(x: float) -> float:
+    """2**x - 1, +inf once it leaves the float range."""
+    try:
+        return math.expm1(x * _LN2)
+    except OverflowError:
+        return math.inf
+
+
+def _exact_single_user(
+    alpha: float, g: float, config: ScenarioConfig, eps_feas: float
+) -> FeasibilityReport:
+    """Exact verdict for one user with a free ratio and no server.
+
+    Evaluates the minimum-energy admissible allocation derived in the
+    module docstring, in plain float arithmetic.
+    """
+    user = config.users[0]
+    bits, t_loc, e_loc = user.task_bits, user.local_full_time, user.local_full_energy
+    band = config.bandwidth
+    p_lo = max(0.0, _pow2m1(bits / band * (1.0 / alpha - 1.0 / t_loc)) / g)
+    p_full = _pow2m1(bits / (alpha * band)) / g
+    p_s = e_loc * band / (bits * _LN2) - 1.0 / g
+    p = min(max(min(max(p_s, 0.0), p_full), p_lo), config.p_max)
+    rate = band * math.log1p(g * p) / _LN2
+    beta = min(1.0, alpha * rate / bits)
+    residual = max(
+        (beta * bits - alpha * rate) / bits,
+        (t_loc * (1.0 - beta) - alpha) / t_loc,
+        (e_loc * (1.0 - beta) + alpha * p - config.e_max) / config.e_max,
+    )
+    witness = Allocation(betas=(beta,), powers=(p,))
+    return FeasibilityReport(residual <= eps_feas, witness, residual, 0)
+
+
 def check_feasibility(
     alpha: float,
     gains,
@@ -224,10 +278,16 @@ def check_feasibility(
 
     Returns a report whose witness attains the reported max violation.
     With ``fixed_betas`` the search runs over powers only; the per-user
-    energy cap then decides feasibility exactly with no iterations.
+    energy cap then decides feasibility exactly with no iterations. One
+    user with free ratios and no server is decided exactly as well, with
+    no screening and no SLSQP.
     """
     if not (math.isfinite(eps_feas) and eps_feas > 0):
         raise UsageError("eps_feas must be finite and > 0")
+    if len(config.users) == 1 and fixed_betas is None and config.server is None and alpha > 0.0:
+        g = gains.gains if isinstance(gains, ChannelRealization) else tuple(gains)
+        if len(g) == 1 and 0.0 < g[0] < math.inf:
+            return _exact_single_user(alpha, float(g[0]), config, eps_feas)
     prob = _Problem(gains, config)
     n = prob.n
     if alpha <= 0.0:

@@ -66,6 +66,15 @@ class TestMetrics:
             full_local_delay(cfg, p_circuit=p_circuit)
 
 
+    def test_ofdma_checks_circuit_power_before_solving(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("bss_solve ran before p_circuit was checked")
+
+        monkeypatch.setattr("nomamec.baselines.bss_solve", no_solve)
+        with pytest.raises(UsageError):
+            solve_ofdma_partial((1e4, 1e5), light_config(e_max=2.0), 1, p_circuit=-0.1)
+
+
 class TestFullLocal:
     def test_s1_like_parameters(self):
         res = full_local_delay(light_config())

@@ -169,6 +169,15 @@ class TestSolveCommand:
         assert "infeasible" in capsys.readouterr().err
 
 
+    def test_negative_trial_exit_2(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        out_dir = tmp_path / "out"
+        rc = main(["solve", path, "--trial", "-1", "--out", str(out_dir)])
+        assert rc == 2
+        assert "--trial" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
 class TestSweepCommand:
     def test_single_point_single_seed(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -252,6 +261,24 @@ class TestSweepBadInput:
         assert rc == 2
         assert "p_circuit" in capsys.readouterr().err
         assert not (out_dir / "sweep.csv").exists()
+
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--values", ","],
+            ["--values", "0.01", "--schemes", ","],
+            ["--values", "0.01", "--seeds", "0"],
+            ["--values", "0.01", "--seeds", "-2"],
+        ],
+    )
+    def test_empty_sweep_exit_2(self, tmp_path, capsys, flags):
+        path = write_config(tmp_path)
+        out_dir = tmp_path / "out"
+        rc = main(["sweep", path, "--axis", "p_max", *flags, "--out", str(out_dir)])
+        assert rc == 2
+        assert "at least one" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 class TestAxisApplication:
