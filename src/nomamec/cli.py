@@ -31,7 +31,10 @@ from .lambertw import BRANCH_POINT, lambert_w0, lambert_wm1
 from .model import Allocation, ChannelRealization, ScenarioConfig, UsageError, user_rate, sum_rate
 from .oracle import grid_oracle_two_user
 from .scenario import RNG_SCHEME, Seed, generate_channels, reorder_users, rng_for
-from .solver import InfeasibleScenarioError, bss_solve, check_feasibility
+# check_feasibility is looked up on the module at call time, where
+# bench/tracing.py patches it to count oracle calls
+from . import solver
+from .solver import InfeasibleScenarioError, bss_solve
 
 SWEEP_COLUMNS = (
     "axis,value,scheme,seed,delay_s,sum_rate_bps,total_power_w,ee_bpj,pe,"
@@ -215,28 +218,31 @@ def _cmd_solve(args) -> int:
         print(f"error: closed-form method needs exactly 2 users, got {m}", file=sys.stderr)
         return 2
 
-    method = args.method
     case_label = "-"
     try:
-        if method in ("auto", "closed-form") and m == 2:
+        sol = None
+        if args.method in ("auto", "closed-form") and m == 2:
             try:
-                params = TwoUserParams.from_scenario(realization, cfg_run)
-                sol = solve_two_user(params)
-                alloc = Allocation(betas=(sol.beta1, sol.beta2), powers=(sol.p1, sol.p2))
-                delay, iterations, case_label = sol.delay, 0, sol.case_label
-                method = "closed-form"
+                sol = solve_two_user(TwoUserParams.from_scenario(realization, cfg_run))
             except EqualTimeInfeasible:
                 if args.method == "closed-form":
                     print("error: equal-time structure infeasible; rerun with --method bss",
                           file=sys.stderr)
                     return 3
-                res = bss_solve(realization, cfg_run, eps=args.eps, eps_feas=args.eps_feas)
-                alloc, delay, iterations = res.allocation, res.optimal_delay, res.iterations
-                method = "bss (closed-form fallback)"
+            # with a binding energy budget the equal-time structure is not
+            # optimal; a feasible delay eps below the closed form's shows it
+            if sol is not None and args.method == "auto" and solver.check_feasibility(
+                sol.delay - args.eps, realization, cfg_run, args.eps_feas
+            ).feasible:
+                sol = None
+        if sol is not None:
+            alloc = Allocation(betas=(sol.beta1, sol.beta2), powers=(sol.p1, sol.p2))
+            delay, iterations, case_label = sol.delay, 0, sol.case_label
+            method = "closed-form"
         else:
             res = bss_solve(realization, cfg_run, eps=args.eps, eps_feas=args.eps_feas)
             alloc, delay, iterations = res.allocation, res.optimal_delay, res.iterations
-            method = "bss"
+            method = "bss (closed-form fallback)" if args.method == "auto" and m == 2 else "bss"
     except InfeasibleScenarioError as exc:
         print(f"error: infeasible scenario: {exc}", file=sys.stderr)
         return 3
@@ -351,8 +357,8 @@ def _verify_scenario(loaded: LoadedScenario, gains_override: Optional[str]) -> l
 
     try:
         res = bss_solve(realization, cfg_run)
-        below = check_feasibility(0.5 * res.optimal_delay, realization, cfg_run)
-        above = check_feasibility(1.05 * res.optimal_delay + 1e-4, realization, cfg_run)
+        below = solver.check_feasibility(0.5 * res.optimal_delay, realization, cfg_run)
+        above = solver.check_feasibility(1.05 * res.optimal_delay + 1e-4, realization, cfg_run)
         ok = above.feasible and (not below.feasible or res.optimal_delay < 1e-9)
         checks.append(("feasibility monotone around optimum", ok,
                        f"delay {res.optimal_delay:.6g}"))

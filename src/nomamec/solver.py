@@ -1,4 +1,4 @@
-"""Bisection search over the auxiliary delay with a convex feasibility oracle.
+"""Bisection search over the auxiliary delay with a feasibility oracle.
 
 The outer loop halves a bracket on the common delay until it is narrower
 than ``eps``; each step asks whether any (beta, p) satisfies the rate,
@@ -7,27 +7,64 @@ is monotone in the delay (a witness at some delay scales down its powers
 to witness any larger delay), so the bracket always contains the optimum
 and convergence is geometric.
 
-The inner oracle minimizes the maximum normalized constraint violation,
-a convex function of (beta, p) for a fixed trial delay. It screens a few
-structured candidate points (least offload, full offload, the previous
-step's witness) and, when none of them certifies feasibility, runs an
-SLSQP epigraph polish from the best one with the analytic Jacobian.
+Without an edge server the feasibility problem at a fixed trial delay is
+convex (the maximum normalized constraint violation is a convex function
+of (beta, p)) and every case is decided exactly, so the reported delay is
+globally optimal within eps. With a finite-capacity server the rate
+residual (alpha - c sum_j beta_j L_j) R_m(p) is bilinear in (beta, p): the
+problem is not convex, and the oracle's answer is a local one.
 
-One user with free ratios and no edge server (every OFDMA subproblem)
-is decided exactly in O(1) instead. With L task bits, T and E_l the
-fully-local time and energy, g the gain and B the band, at delay alpha
-the largest share the rate allows is
-beta(p) = min(1, alpha B log2(1 + g p) / L). The local-time constraint
-needs p >= p_lo = (2^((L/B)(1/alpha - 1/T)) - 1) / g, and the energy
-E_l (1 - beta(p)) + alpha p is convex in p with its minimum at
-clip(p_s, 0, p_full), where p_s = E_l B / (L ln 2) - 1/g is the
-stationary point and p_full = (2^(L/(alpha B)) - 1) / g the power at
-which beta(p) reaches 1. Clipping that point to [p_lo, p_max] gives the
-minimum-energy admissible allocation, and the verdict is its max
-normalized residual against eps_feas. That residual is not the minimax
-one, so inside the (0, eps_feas] band the exact verdict is stricter than
-the general oracle's: it may say infeasible where SLSQP found a point
-violating every constraint by less than eps_feas.
+Free ratios, two or more users, no server: one frontier pass. With L_j
+the task bits, T_j and E_j the fully-local time and energy, g_j the gain
+and B the band, more power only helps the rate constraints, so at delay
+alpha each power sits at its energy cap. User j's SNR g_j p_j is then a
+concave piecewise-linear function of its offloaded bits u_j = beta_j L_j
+with at most two pieces (slope g_j E_j / (alpha L_j) until the power
+reaches p_max, then flat) on [lo_j L_j, L_j], where lo_j is the least
+share the local-time bound and a nonnegative power allow. Prefix m needs
+K_m = (alpha B / ln 2) ln(1 + S_m) - U_m >= 0 for its SNR S_m and bits U_m.
+Later prefixes prefer more SNR and fewer bits, so the pass keeps the
+frontier "most prefix SNR for given prefix bits" as slope-sorted
+(slope, owner, length) segments. For each user it merges the user's
+pieces in (ties go to the earlier owner) and finds the peak of K_m,
+which is concave along the frontier; a negative peak means infeasible.
+Otherwise it cuts the frontier's left end to the root of K_m before the
+peak, found by Newton from the infeasible side, which converges
+monotonically. The right end needs no cut: past the peak of K_m the
+slopes are too small for any later K to rise, so no later peak or
+left end lies there. The segments cut away, by owner, give each user's
+bits at the least-bits end of the last frontier: the witness. The pass
+takes O(M^2) scalar steps and no iterative search beyond the roots.
+
+One user with free ratios and no server (every OFDMA subproblem) is
+decided exactly in O(1). At delay alpha the largest share the rate
+allows is beta(p) = min(1, alpha B log2(1 + g p) / L). The local-time
+constraint needs p >= p_lo = (2^((L/B)(1/alpha - 1/T)) - 1) / g, and the
+energy E (1 - beta(p)) + alpha p is convex in p with its minimum at
+clip(p_s, 0, p_full), where p_s = E B / (L ln 2) - 1/g is the stationary
+point and p_full = (2^(L/(alpha B)) - 1) / g the power at which beta(p)
+reaches 1. Clipping that point to [p_lo, p_max] gives the minimum-energy
+admissible allocation.
+
+Both exact verdicts compare the witness's max normalized residual with
+eps_feas. The frontier pass runs unrelaxed first and takes the witness
+from that pass when it succeeds. Otherwise it relaxes every bound the way
+the normalized residuals do (share >= 1 - (alpha + eps T_max) / T_j,
+budget e_max (1 + eps), rate offset eps P_m with P_m the prefix task
+bits) by eps = eps_feas less a 1e-4 share, which keeps rounding in the
+witness's residuals from pushing it past eps_feas. Its verdict is thus
+the minimax one (is the least max residual <= eps_feas?) except in that
+thin top slice of the band. The single-user witness is the minimum-energy
+point, not the minimax one, so inside the whole (0, eps_feas] band that
+verdict is stricter: it may say infeasible where a point violating every
+constraint by less than eps_feas exists.
+
+With a server, or with pinned ratios, the general oracle minimizes the
+maximum normalized violation. Pinned ratios are decided by the power cap
+alone. Otherwise it screens a few structured candidate points (least
+offload, full offload, the previous step's witness) and, when none of
+them certifies feasibility, runs an SLSQP epigraph polish from the best
+one with the analytic Jacobian.
 """
 
 from __future__ import annotations
@@ -58,6 +95,8 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+_NEWTON_MAX = 60
+_RELAX_MARGIN = 1e-4
 
 
 class InfeasibleScenarioError(RuntimeError):
@@ -68,13 +107,19 @@ class InfeasibleScenarioError(RuntimeError):
 class FeasibilityReport:
     """Verdict of one oracle call.
 
-    residual is the max normalized violation at the witness: the minimax
-    value in general, but for the exact single-user branch (one user,
-    free ratios, no server) the violation at the minimum-energy point.
-    uncertain marks an infeasible verdict that SLSQP reached without
-    converging; the exact branch is never uncertain. inner_iterations is
-    always 0: the oracle has no iterative stage of its own; the field
-    stays for callers that read it.
+    residual is the max normalized violation at the witness, and the call
+    is feasible when it is <= eps_feas. For the general oracle it is the
+    minimax value SLSQP reached; for the exact single-user branch it is
+    the violation at the minimum-energy point. For the frontier pass a
+    feasible witness is the least-bits end of the last frontier; an
+    infeasible one is the point that comes closest to meeting the first
+    prefix rate constraint the relaxed pass cannot meet (earlier users on
+    the frontier, later users at their least share, powers at the energy
+    cap), and its residual, > eps_feas, bounds the minimax value from
+    above. uncertain marks an infeasible verdict that SLSQP reached
+    without converging; the exact branches are never uncertain.
+    inner_iterations is always 0: the oracle has no iterative stage of
+    its own; the field stays for callers that read it.
     """
 
     feasible: bool
@@ -240,6 +285,25 @@ def _pow2m1(x: float) -> float:
         return math.inf
 
 
+def _max_residual(alpha: float, g, specs, config: ScenarioConfig, betas, powers) -> float:
+    """Max normalized (rate, local, energy) residual, in scalar arithmetic."""
+    t_max = max(t_loc for _, t_loc, _ in specs)
+    bits = snr = prefix = 0.0
+    worst = -math.inf
+    for (size, t_loc, e_loc), gain, beta, p in zip(specs, g, betas, powers):
+        bits += beta * size
+        snr += gain * p
+        prefix += size
+        rate = config.bandwidth * math.log1p(snr) / _LN2
+        worst = max(
+            worst,
+            (bits - alpha * rate) / prefix,
+            (t_loc * (1.0 - beta) - alpha) / t_max,
+            (e_loc * (1.0 - beta) + alpha * p - config.e_max) / config.e_max,
+        )
+    return worst
+
+
 def _exact_single_user(
     alpha: float, g: float, config: ScenarioConfig, eps_feas: float
 ) -> FeasibilityReport:
@@ -266,6 +330,136 @@ def _exact_single_user(
     return FeasibilityReport(residual <= eps_feas, witness, residual, 0)
 
 
+def _root(c: float, r: float, u: float, s: float, slope: float, bound: float) -> float:
+    """Newton along one frontier segment for the zero of K, from its start, where K < 0.
+
+    The segment starts at prefix bits u and SNR s and gains slope SNR per
+    bit; K(t) = c ln(1 + s + slope t) - (u + t) + r is concave, so every
+    step stays short of the root and t rises monotonically toward
+    ``bound``, where K >= 0.
+    """
+    t = 0.0
+    for _ in range(_NEWTON_MAX):
+        k = c * math.log1p(s + slope * t) - (u + t) + r
+        rise = c * slope / (1.0 + s + slope * t) - 1.0
+        if k >= 0.0 or rise <= 0.0:
+            break
+        t_next = min(t - k / rise, bound)
+        if t_next <= t:
+            break
+        t = t_next
+    return t
+
+
+def _frontier_pass(alpha: float, g, specs, config: ScenarioConfig, eps: float):
+    """One pass over the users with every bound relaxed by eps.
+
+    specs holds each user's (task bits, local time, local energy).
+    Returns (feasible, betas, powers). A feasible pass gives the
+    least-bits point of the last frontier. An infeasible pass gives the
+    point that comes closest to meeting the first prefix it cannot meet,
+    with the later users at their least offload.
+    """
+    c = alpha * config.bandwidth / _LN2  # prefix m needs c ln(1 + S) >= U - eps P_m
+    t_max = max(t_loc for _, t_loc, _ in specs)
+    budget = config.e_max * (1.0 + eps)
+    # least share (the local-time bound, and a budget that leaves p >= 0)
+    # and the power at the energy cap there
+    floors = [
+        max(0.0, 1.0 - (alpha + eps * t_max) / t_loc, 1.0 - budget / e_loc)
+        for _, t_loc, e_loc in specs
+    ]
+    p_floor = [
+        min(config.p_max, max(0.0, (budget - e_loc * (1.0 - lo)) / alpha))
+        for lo, (_, _, e_loc) in zip(floors, specs)
+    ]
+    extra = [0.0] * len(specs)  # bits offloaded beyond the floor, by owner
+    segs: list[list] = []  # [slope, owner, length], slope descending, ties by owner
+    u0 = s0 = prefix = 0.0
+    for m, ((size, _, energy), gain, lo) in enumerate(zip(specs, g, floors)):
+        knee = min(1.0, max(lo, 1.0 - (budget - alpha * config.p_max) / energy))
+        u0 += lo * size
+        s0 += gain * p_floor[m]
+        prefix += size
+        r = eps * prefix
+        # user m's SNR at its energy cap: rising until the power reaches
+        # p_max at the knee, then flat
+        for piece in ((gain * energy / (alpha * size), m, (knee - lo) * size),
+                      (0.0, m, (1.0 - knee) * size)):
+            if piece[2] > 0.0:
+                at = 0
+                while at < len(segs) and segs[at][0] >= piece[0]:
+                    at += 1
+                segs.insert(at, list(piece))
+
+        us, ss = [u0], [s0]
+        for slope, _, length in segs:
+            us.append(us[-1] + length)
+            ss.append(ss[-1] + slope * length)
+        n = len(segs)
+
+        def k_at(i: int, t: float) -> float:
+            slope = segs[i][0] if i < n else 0.0
+            return c * math.log1p(ss[i] + slope * t) - (us[i] + t) + r
+
+        # K is concave along the frontier: find its peak (segment, offset)
+        top, t_top = n, 0.0
+        for i, (slope, _, length) in enumerate(segs):
+            if c * slope / (1.0 + ss[i + 1]) >= 1.0:
+                continue
+            top = i
+            if slope > 0.0:
+                t_top = min(max((c * slope - 1.0 - ss[i]) / slope, 0.0), length)
+            break
+        feasible = k_at(top, t_top) >= 0.0
+        left, t_left = top, t_top
+        if feasible:
+            # cut the frontier's left end to the root of K before the peak
+            left, t_left = 0, 0.0
+            if k_at(0, 0.0) < 0.0:
+                while left < top and k_at(left, segs[left][2]) < 0.0:
+                    left += 1
+                if left < n:
+                    bound = t_top if left == top else segs[left][2]
+                    t_left = _root(c, r, us[left], ss[left], segs[left][0], bound)
+        for slope, owner, length in segs[:left]:
+            extra[owner] += length
+        u0, s0 = us[left], ss[left]
+        if left < n:
+            extra[segs[left][1]] += t_left
+            segs[left][2] -= t_left
+            u0, s0 = u0 + t_left, s0 + segs[left][0] * t_left
+        if not feasible:
+            break
+        segs = [seg for seg in segs[left:] if seg[2] > 0.0]
+
+    betas, powers = [], []
+    for (size, _, energy), lo, p_lo, more in zip(specs, floors, p_floor, extra):
+        betas.append(min(1.0, lo + more / size))
+        powers.append(min(config.p_max, p_lo + energy * more / (alpha * size)))
+    return feasible, betas, powers
+
+
+def _exact_noma(alpha: float, g, config: ScenarioConfig, eps_feas: float) -> FeasibilityReport:
+    """Exact verdict for two or more users with free ratios and no server.
+
+    Runs the frontier pass of the module docstring unrelaxed and, when
+    that fails, relaxed by eps_feas (less a 1e-4 share); the witness comes
+    from the first pass that succeeds, or from the relaxed one when
+    neither does.
+    """
+    specs = [(u.task_bits, u.local_full_time, u.local_full_energy) for u in config.users]
+    feasible, betas, powers = _frontier_pass(alpha, g, specs, config, 0.0)
+    if not feasible:
+        # the relaxed witness sits on relaxed bounds; the margin keeps the
+        # few ulp its residuals round by from pushing it past eps_feas
+        relaxed = eps_feas * (1.0 - _RELAX_MARGIN)
+        _, betas, powers = _frontier_pass(alpha, g, specs, config, relaxed)
+    residual = _max_residual(alpha, g, specs, config, betas, powers)
+    witness = Allocation(betas=tuple(betas), powers=tuple(powers))
+    return FeasibilityReport(residual <= eps_feas, witness, residual, 0)
+
+
 def check_feasibility(
     alpha: float,
     gains,
@@ -278,16 +472,20 @@ def check_feasibility(
 
     Returns a report whose witness attains the reported max violation.
     With ``fixed_betas`` the search runs over powers only; the per-user
-    energy cap then decides feasibility exactly with no iterations. One
-    user with free ratios and no server is decided exactly as well, with
-    no screening and no SLSQP.
+    energy cap then decides feasibility exactly with no iterations. Free
+    ratios without a server are decided exactly as well, in closed form
+    for one user and by the frontier pass for more, with no screening and
+    no SLSQP; those two stages serve the finite-server case.
     """
     if not (math.isfinite(eps_feas) and eps_feas > 0):
         raise UsageError("eps_feas must be finite and > 0")
-    if len(config.users) == 1 and fixed_betas is None and config.server is None and alpha > 0.0:
-        g = gains.gains if isinstance(gains, ChannelRealization) else tuple(gains)
-        if len(g) == 1 and 0.0 < g[0] < math.inf:
-            return _exact_single_user(alpha, float(g[0]), config, eps_feas)
+    if fixed_betas is None and config.server is None and alpha > 0.0:
+        g = gains.gains if isinstance(gains, ChannelRealization) else tuple(map(float, gains))
+        n = len(config.users)
+        if n == 1 == len(g) and 0.0 < g[0] < math.inf:
+            return _exact_single_user(alpha, g[0], config, eps_feas)
+        if n == len(g) > 1 and all(0.0 < x < math.inf for x in g):
+            return _exact_noma(alpha, g, config, eps_feas)
     prob = _Problem(gains, config)
     n = prob.n
     if alpha <= 0.0:
@@ -355,7 +553,11 @@ def bss_solve(
     fixed_betas: Optional[Sequence[float]] = None,
     alpha_max: Optional[float] = None,
 ) -> SolveResult:
-    """Globally optimal common delay by bisection on the feasibility oracle.
+    """Least common delay by bisection on the feasibility oracle.
+
+    Without a server every oracle verdict is exact, so the delay is
+    globally optimal within eps; with a finite server it is a local
+    answer (see the module docstring).
 
     Performs ceil(log2(bracket / eps)) halvings, then certifies the
     returned allocation with one extra feasibility solve at the reported

@@ -129,6 +129,23 @@ class TestSolveCommand:
         assert (tmp_path / "solve.csv").exists()
         assert (tmp_path / "solve_manifest.json").exists()
 
+    def test_auto_falls_back_when_closed_form_is_beaten(self, tmp_path, capsys):
+        # master 1, trial 258 of configs/s1.json: the energy budget binds, so
+        # the Case3 closed form (0.19965 s) is slower than bisection (0.19897 s)
+        path = write_config(tmp_path, master_seed=1)
+        runs = {}
+        for method in ("auto", "closed-form"):
+            out_dir = tmp_path / method
+            assert main(["solve", path, "--method", method, "--trial", "258",
+                         "--out", str(out_dir)]) == 0
+            row = (out_dir / "solve.csv").read_text().splitlines()[1].split(",")
+            runs[method] = (row[0], float(row[1]), row[3])
+        capsys.readouterr()
+        assert runs["closed-form"][0] == "closed-form" and runs["closed-form"][2] == "Case3"
+        assert runs["closed-form"][1] == pytest.approx(0.19965224641556106, rel=1e-12)
+        assert runs["auto"][0] == "bss (closed-form fallback)" and runs["auto"][2] == "-"
+        assert runs["auto"][1] == pytest.approx(0.19897, abs=1e-4)
+
     def test_closed_form_requires_two_users(self, tmp_path, capsys):
         users = [
             {"task_bits": 1.6e6, "cycles_per_bit": 1e3, "cpu_freq_hz": 1e9, "kappa": 1e-28}
