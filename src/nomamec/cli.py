@@ -34,7 +34,7 @@ from .scenario import RNG_SCHEME, Seed, generate_channels, reorder_users, rng_fo
 # check_feasibility is looked up on the module at call time, where
 # bench/tracing.py patches it to count oracle calls
 from . import solver
-from .solver import InfeasibleScenarioError, bss_solve
+from .solver import InfeasibleScenarioError, bss_solve, max_violation
 
 SWEEP_COLUMNS = (
     "axis,value,scheme,seed,delay_s,sum_rate_bps,total_power_w,ee_bpj,pe,"
@@ -217,11 +217,18 @@ def _cmd_solve(args) -> int:
     if args.method == "closed-form" and m != 2:
         print(f"error: closed-form method needs exactly 2 users, got {m}", file=sys.stderr)
         return 2
+    if args.method == "closed-form" and cfg_run.server is not None:
+        print("error: the closed form has no server term; rerun with --method bss",
+              file=sys.stderr)
+        return 2
+    # the closed form covers two users without a server; auto sends
+    # everything else straight to bisection
+    closed = m == 2 and cfg_run.server is None
 
     case_label = "-"
     try:
         sol = None
-        if args.method in ("auto", "closed-form") and m == 2:
+        if args.method in ("auto", "closed-form") and closed:
             try:
                 sol = solve_two_user(TwoUserParams.from_scenario(realization, cfg_run))
             except EqualTimeInfeasible:
@@ -229,20 +236,26 @@ def _cmd_solve(args) -> int:
                     print("error: equal-time structure infeasible; rerun with --method bss",
                           file=sys.stderr)
                     return 3
-            # with a binding energy budget the equal-time structure is not
-            # optimal; a feasible delay eps below the closed form's shows it
-            if sol is not None and args.method == "auto" and solver.check_feasibility(
-                sol.delay - args.eps, realization, cfg_run, args.eps_feas
-            ).feasible:
-                sol = None
         if sol is not None:
             alloc = Allocation(betas=(sol.beta1, sol.beta2), powers=(sol.p1, sol.p2))
+            # auto keeps a closed form only if its allocation meets every
+            # constraint at its delay, and no delay eps below is feasible
+            # (with a binding energy budget the equal-time structure is
+            # not optimal)
+            if args.method == "auto" and (
+                max_violation(sol.delay, alloc, realization, cfg_run) > args.eps_feas
+                or solver.check_feasibility(
+                    sol.delay - args.eps, realization, cfg_run, args.eps_feas
+                ).feasible
+            ):
+                sol = None
+        if sol is not None:
             delay, iterations, case_label = sol.delay, 0, sol.case_label
             method = "closed-form"
         else:
             res = bss_solve(realization, cfg_run, eps=args.eps, eps_feas=args.eps_feas)
             alloc, delay, iterations = res.allocation, res.optimal_delay, res.iterations
-            method = "bss (closed-form fallback)" if args.method == "auto" and m == 2 else "bss"
+            method = "bss (closed-form fallback)" if args.method == "auto" and closed else "bss"
     except InfeasibleScenarioError as exc:
         print(f"error: infeasible scenario: {exc}", file=sys.stderr)
         return 3

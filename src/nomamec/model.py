@@ -182,10 +182,11 @@ class Allocation:
         object.__setattr__(self, "powers", powers)
         if len(betas) != len(powers):
             raise UsageError("betas and powers must have equal length")
-        if any(b < -1e-12 or b > 1 + 1e-12 for b in betas):
+        # chained range tests are false for NaN, and the upper one for inf
+        if not all(-1e-12 <= b <= 1 + 1e-12 for b in betas):
             raise UsageError("betas must lie in [0, 1]")
-        if any(p < -1e-12 for p in powers):
-            raise UsageError("powers must be nonnegative")
+        if not all(-1e-12 <= p < math.inf for p in powers):
+            raise UsageError("powers must be finite and nonnegative")
 
 
 @dataclass(frozen=True)

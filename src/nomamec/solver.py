@@ -12,7 +12,8 @@ convex (the maximum normalized constraint violation is a convex function
 of (beta, p)) and every case is decided exactly, so the reported delay is
 globally optimal within eps. With a finite-capacity server the rate
 residual (alpha - c sum_j beta_j L_j) R_m(p) is bilinear in (beta, p): the
-problem is not convex, and the oracle's answer is a local one.
+problem is not convex, and with free ratios the oracle's answer is a
+local one. Pinned ratios are decided exactly with or without a server.
 
 Free ratios, two or more users, no server: one frontier pass. With L_j
 the task bits, T_j and E_j the fully-local time and energy, g_j the gain
@@ -59,12 +60,22 @@ point, not the minimax one, so inside the whole (0, eps_feas] band that
 verdict is stricter: it may say infeasible where a point violating every
 constraint by less than eps_feas exists.
 
-With a server, or with pinned ratios, the general oracle minimizes the
-maximum normalized violation. Pinned ratios are decided by the power cap
-alone. Otherwise it screens a few structured candidate points (least
-offload, full offload, the previous step's witness) and, when none of
-them certifies feasibility, runs an SLSQP epigraph polish from the best
-one with the analytic Jacobian.
+Pinned ratios (``fixed_betas``, as in full offloading), with or without a
+server, are decided in O(M) scalar steps. Each power sits at its energy
+cap clip((e_max - E_j (1 - beta_j)) / alpha, 0, p_max), and with the
+ratios fixed the server time c sum_j beta_j L_j is a constant, so every
+rate constraint sees the window alpha - c sum_j beta_j L_j. The verdict
+is the max normalized residual at those powers against eps_feas; like the
+single-user one it is stricter than the minimax verdict inside the
+(0, eps_feas] band, where a budget relaxed by the band would allow more
+power.
+
+Free ratios with a server go to the general oracle, which minimizes the
+maximum normalized violation over the numpy problem arrays: it screens a
+few structured candidate points (least offload, full offload, the
+previous step's witness) and, when none of them certifies feasibility,
+runs an SLSQP epigraph polish from the best one with the analytic
+Jacobian.
 """
 
 from __future__ import annotations
@@ -110,7 +121,8 @@ class FeasibilityReport:
     residual is the max normalized violation at the witness, and the call
     is feasible when it is <= eps_feas. For the general oracle it is the
     minimax value SLSQP reached; for the exact single-user branch it is
-    the violation at the minimum-energy point. For the frontier pass a
+    the violation at the minimum-energy point, and for pinned ratios the
+    violation with every power at its energy cap. For the frontier pass a
     feasible witness is the least-bits end of the last frontier; an
     infeasible one is the point that comes closest to meeting the first
     prefix rate constraint the relaxed pass cannot meet (earlier users on
@@ -152,7 +164,7 @@ def init_bounds(config: ScenarioConfig) -> tuple[float, float]:
 
 
 class _Problem:
-    """Precomputed scenario arrays shared by the inner-solver hot path."""
+    """Scenario arrays for the free-ratio server oracle and constraint_violations."""
 
     def __init__(self, gains, config: ScenarioConfig):
         g = gains.gains if isinstance(gains, ChannelRealization) else gains
@@ -237,8 +249,21 @@ def constraint_violations(
 
 
 def max_violation(alpha: float, alloc: Allocation, gains, config: ScenarioConfig) -> float:
-    """Max constraint violation; the function the inner oracle minimizes."""
-    return float(np.max(constraint_violations(alpha, alloc, gains, config)))
+    """Max constraint violation; the function the inner oracle minimizes.
+
+    The max of constraint_violations, to rounding, in scalar arithmetic.
+    """
+    if alpha <= 0:
+        raise UsageError("alpha must be > 0")
+    g = _gain_tuple(gains, len(config.users))
+    betas, powers = alloc.betas, alloc.powers
+    if len(betas) != len(g):
+        raise UsageError("allocation and users must have matching length")
+    specs = _specs(config)
+    window = _rate_window(alpha, config, specs, betas)
+    p_max = config.p_max
+    box = max(max(-b, b - 1.0, -p / p_max, p / p_max - 1.0) for b, p in zip(betas, powers))
+    return max(_max_residual(alpha, window, g, specs, config, betas, powers), box)
 
 
 def _slsqp_polish(prob: _Problem, alpha: float, x0: np.ndarray, phi0: float):
@@ -285,8 +310,37 @@ def _pow2m1(x: float) -> float:
         return math.inf
 
 
-def _max_residual(alpha: float, g, specs, config: ScenarioConfig, betas, powers) -> float:
-    """Max normalized (rate, local, energy) residual, in scalar arithmetic."""
+def _specs(config: ScenarioConfig) -> list:
+    """Each user's (task bits, local time, local energy)."""
+    return [(u.task_bits, u.local_full_time, u.local_full_energy) for u in config.users]
+
+
+def _gain_tuple(gains, n: int) -> tuple:
+    """gains as n finite positive floats; UsageError otherwise."""
+    g = gains.gains if isinstance(gains, ChannelRealization) else tuple(map(float, gains))
+    if len(g) != n:
+        raise UsageError("gains and users must have matching length")
+    if not all(0.0 < x < math.inf for x in g):
+        raise UsageError("gains must be finite and strictly positive")
+    return g
+
+
+def _rate_window(alpha: float, config: ScenarioConfig, specs, betas) -> float:
+    """The time the rate constraints get: alpha less the server's compute time."""
+    if config.server is None:
+        return alpha
+    coef = config.server.cycles_per_bit / config.server.cpu_freq
+    return alpha - coef * sum(beta * size for (size, _, _), beta in zip(specs, betas))
+
+
+def _max_residual(
+    alpha: float, window: float, g, specs, config: ScenarioConfig, betas, powers
+) -> float:
+    """Max normalized (rate, local, energy) residual, in scalar arithmetic.
+
+    window is the time the rate constraints get: alpha less the server's
+    compute time, or alpha itself without a server.
+    """
     t_max = max(t_loc for _, t_loc, _ in specs)
     bits = snr = prefix = 0.0
     worst = -math.inf
@@ -297,7 +351,7 @@ def _max_residual(alpha: float, g, specs, config: ScenarioConfig, betas, powers)
         rate = config.bandwidth * math.log1p(snr) / _LN2
         worst = max(
             worst,
-            (bits - alpha * rate) / prefix,
+            (bits - window * rate) / prefix,
             (t_loc * (1.0 - beta) - alpha) / t_max,
             (e_loc * (1.0 - beta) + alpha * p - config.e_max) / config.e_max,
         )
@@ -448,16 +502,50 @@ def _exact_noma(alpha: float, g, config: ScenarioConfig, eps_feas: float) -> Fea
     from the first pass that succeeds, or from the relaxed one when
     neither does.
     """
-    specs = [(u.task_bits, u.local_full_time, u.local_full_energy) for u in config.users]
+    specs = _specs(config)
     feasible, betas, powers = _frontier_pass(alpha, g, specs, config, 0.0)
     if not feasible:
         # the relaxed witness sits on relaxed bounds; the margin keeps the
         # few ulp its residuals round by from pushing it past eps_feas
         relaxed = eps_feas * (1.0 - _RELAX_MARGIN)
         _, betas, powers = _frontier_pass(alpha, g, specs, config, relaxed)
-    residual = _max_residual(alpha, g, specs, config, betas, powers)
+    residual = _max_residual(alpha, alpha, g, specs, config, betas, powers)
     witness = Allocation(betas=tuple(betas), powers=tuple(powers))
     return FeasibilityReport(residual <= eps_feas, witness, residual, 0)
+
+
+def _exact_pinned(
+    alpha: float, g, config: ScenarioConfig, eps_feas: float, betas: tuple
+) -> FeasibilityReport:
+    """Exact verdict for pinned ratios, with or without a server.
+
+    Every power sits at its energy cap (see the module docstring); with
+    the ratios fixed the server time, and so the rate window, is a
+    constant.
+    """
+    specs = _specs(config)
+    e_max, p_max = config.e_max, config.p_max
+    powers = [
+        min(max((e_max - e_loc * (1.0 - beta)) / alpha, 0.0), p_max)
+        for (_, _, e_loc), beta in zip(specs, betas)
+    ]
+    window = _rate_window(alpha, config, specs, betas)
+    residual = _max_residual(alpha, window, g, specs, config, betas, powers)
+    witness = Allocation(betas=betas, powers=tuple(powers))
+    return FeasibilityReport(residual <= eps_feas, witness, residual, 0)
+
+
+def _pinned_ratios(fixed_betas, n: int) -> tuple:
+    """fixed_betas as a tuple of n floats in [0, 1]; UsageError otherwise."""
+    try:
+        betas = tuple(map(float, fixed_betas))
+    except (TypeError, ValueError):
+        raise UsageError(f"fixed_betas must be numbers, got {fixed_betas!r}") from None
+    if len(betas) != n:
+        raise UsageError(f"fixed_betas must hold one ratio per user ({n}), got {len(betas)}")
+    if not all(0.0 <= b <= 1.0 for b in betas):
+        raise UsageError(f"fixed_betas must lie in [0, 1], got {betas!r}")
+    return betas
 
 
 def check_feasibility(
@@ -471,47 +559,45 @@ def check_feasibility(
     """Decide whether any allocation meets every constraint at delay alpha.
 
     Returns a report whose witness attains the reported max violation.
-    With ``fixed_betas`` the search runs over powers only; the per-user
-    energy cap then decides feasibility exactly with no iterations. Free
-    ratios without a server are decided exactly as well, in closed form
-    for one user and by the frontier pass for more, with no screening and
-    no SLSQP; those two stages serve the finite-server case.
+    With ``fixed_betas`` (one ratio in [0, 1] per user, else UsageError)
+    the powers at their energy caps decide feasibility exactly, with or
+    without a server, in scalar arithmetic. Free ratios without a server
+    are decided exactly as well, in closed form for one user and by the
+    frontier pass for more. Screening and SLSQP serve only free ratios
+    with a finite server.
     """
     if not (math.isfinite(eps_feas) and eps_feas > 0):
         raise UsageError("eps_feas must be finite and > 0")
-    if fixed_betas is None and config.server is None and alpha > 0.0:
+    n = len(config.users)
+    if fixed_betas is not None:
+        betas = _pinned_ratios(fixed_betas, n)
+        g = _gain_tuple(gains, n)
+        if alpha <= 0.0:
+            return FeasibilityReport(False, Allocation(betas, (0.0,) * n), math.inf, 0)
+        return _exact_pinned(alpha, g, config, eps_feas, betas)
+    if config.server is None and alpha > 0.0:
         g = gains.gains if isinstance(gains, ChannelRealization) else tuple(map(float, gains))
-        n = len(config.users)
         if n == 1 == len(g) and 0.0 < g[0] < math.inf:
             return _exact_single_user(alpha, g[0], config, eps_feas)
         if n == len(g) > 1 and all(0.0 < x < math.inf for x in g):
             return _exact_noma(alpha, g, config, eps_feas)
     prob = _Problem(gains, config)
-    n = prob.n
     if alpha <= 0.0:
         zero = Allocation(betas=(0.0,) * n, powers=(0.0,) * n)
         return FeasibilityReport(False, zero, math.inf, 0)
-
-    free_beta = fixed_betas is None
-    fixed = None if free_beta else np.asarray(fixed_betas, dtype=float)
 
     def phi_at(beta, p):
         return float(np.max(prob.residuals(alpha, beta, p)))
 
     # structured candidates: least-offload and full-offload, powers at the
     # energy cap, plus the warm start from the previous bisection step
-    candidates = []
-    if free_beta:
-        floor = prob.beta_floor(alpha)
-        candidates.append((floor, prob.power_cap(alpha, floor)))
-        ones = np.ones(n)
-        candidates.append((ones, prob.power_cap(alpha, ones)))
-        if warm is not None:
-            wb = np.clip(np.asarray(warm.betas, dtype=float), 0.0, 1.0)
-            wp = np.clip(np.asarray(warm.powers, dtype=float), 0.0, prob.p_max)
-            candidates.append((wb, wp))
-    else:
-        candidates.append((fixed, prob.power_cap(alpha, fixed)))
+    floor = prob.beta_floor(alpha)
+    ones = np.ones(n)
+    candidates = [(floor, prob.power_cap(alpha, floor)), (ones, prob.power_cap(alpha, ones))]
+    if warm is not None:
+        wb = np.clip(np.asarray(warm.betas, dtype=float), 0.0, 1.0)
+        wp = np.clip(np.asarray(warm.powers, dtype=float), 0.0, prob.p_max)
+        candidates.append((wb, wp))
 
     best_beta, best_p = candidates[0]
     best_phi = phi_at(best_beta, best_p)
@@ -522,14 +608,6 @@ def check_feasibility(
 
     target = 0.5 * eps_feas
     uncertain = False
-
-    if not free_beta:
-        # rate residuals are monotone decreasing in power and the energy
-        # cap is the componentwise max power, so the candidate decides
-        feasible = best_phi <= eps_feas
-        witness = Allocation(betas=tuple(fixed), powers=tuple(best_p))
-        return FeasibilityReport(feasible, witness, best_phi, 0)
-
     if best_phi > target:
         x0 = np.concatenate([best_beta, best_p / prob.p_max])
         x, phi, ok = _slsqp_polish(prob, alpha, x0, best_phi)
@@ -555,9 +633,10 @@ def bss_solve(
 ) -> SolveResult:
     """Least common delay by bisection on the feasibility oracle.
 
-    Without a server every oracle verdict is exact, so the delay is
-    globally optimal within eps; with a finite server it is a local
-    answer (see the module docstring).
+    Without a server, or with pinned ratios, every oracle verdict is
+    exact, so the delay is globally optimal within eps; with a finite
+    server and free ratios it is a local answer (see the module
+    docstring).
 
     Performs ceil(log2(bracket / eps)) halvings, then certifies the
     returned allocation with one extra feasibility solve at the reported

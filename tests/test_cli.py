@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -145,6 +148,47 @@ class TestSolveCommand:
         assert runs["closed-form"][1] == pytest.approx(0.19965224641556106, rel=1e-12)
         assert runs["auto"][0] == "bss (closed-form fallback)" and runs["auto"][2] == "-"
         assert runs["auto"][1] == pytest.approx(0.19897, abs=1e-4)
+
+    def test_server_sends_auto_to_bisection(self, tmp_path, capsys):
+        # configs/s1.json plus a server, trial 0: the closed form has no
+        # server term and would report 0.18499 s with an allocation that
+        # breaks its own constraints there; bisection gives 0.42632 s
+        server = {"cycles_per_bit": 1e3, "cpu_freq_hz": 1e10, "kappa": 1e-28}
+        path = write_config(tmp_path, server=server)
+        runs = {}
+        for method in ("auto", "bss"):
+            out_dir = tmp_path / method
+            assert main(["solve", path, "--method", method, "--trial", "0",
+                         "--out", str(out_dir)]) == 0
+            runs[method] = (out_dir / "solve.csv").read_text()
+        capsys.readouterr()
+        assert runs["auto"] == runs["bss"]
+        row = runs["auto"].splitlines()[1].split(",")
+        assert row[0] == "bss"
+        assert float(row[1]) == pytest.approx(0.42632, abs=1e-4)
+
+        rc = main(["solve", path, "--method", "closed-form", "--out", str(tmp_path / "cf")])
+        assert rc == 2
+        assert "server" in capsys.readouterr().err
+        assert not (tmp_path / "cf").exists()
+
+    def test_auto_rejects_a_closed_form_that_breaks_its_constraints(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # a closed form 10% below its true delay: no delay below it is
+        # feasible, so only the allocation check can catch it
+        from dataclasses import replace
+        from nomamec import cli
+
+        def too_fast(params):
+            sol = real(params)
+            return replace(sol, delay=0.9 * sol.delay)
+
+        real = cli.solve_two_user
+        monkeypatch.setattr(cli, "solve_two_user", too_fast)
+        path = write_config(tmp_path)
+        assert main(["solve", path, "--out", str(tmp_path)]) == 0
+        assert "method: bss (closed-form fallback)" in capsys.readouterr().out
 
     def test_closed_form_requires_two_users(self, tmp_path, capsys):
         users = [
@@ -335,3 +379,14 @@ class TestVerifyCommand:
         ]
         path = write_config(tmp_path, name="sym.json", users=users, master_seed=5)
         assert main(["verify", path]) == 0
+
+
+def test_python_dash_m_runs_the_cli():
+    # a checkout without the console script runs the same parser
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-m", "nomamec", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: nomamec") and "solve" in proc.stdout

@@ -258,6 +258,15 @@ class TestValidation:
         with pytest.raises(UsageError):
             ChannelRealization(gains=(0.0, 1.0))
 
+    def test_allocation_rejects_nan_and_inf(self):
+        # NaN fails every comparison, so a one-sided bound test lets it through
+        with pytest.raises(UsageError):
+            Allocation(betas=(math.nan,), powers=(math.inf,))
+        with pytest.raises(UsageError):
+            Allocation(betas=(1.0,), powers=(math.nan,))
+        alloc = Allocation(betas=(0.0, 1.0 + 1e-13), powers=(-1e-13, 1e300))
+        assert alloc.powers == (-1e-13, 1e300)
+
     def test_allocation_box(self):
         with pytest.raises(UsageError):
             Allocation(betas=(1.5,), powers=(0.0,))
@@ -283,3 +292,7 @@ class TestValidation:
                 ServerSpec(**dict(kwargs, **{field_name: bad}))
         with pytest.raises(UsageError):
             ChannelRealization(gains=(1.0, bad))
+        with pytest.raises(UsageError):
+            Allocation(betas=(0.5, bad), powers=(0.01, 0.01))
+        with pytest.raises(UsageError):
+            Allocation(betas=(0.5, 0.5), powers=(0.01, bad))
