@@ -379,7 +379,11 @@ def _verify_scenario(loaded: LoadedScenario, gains_override: Optional[str]) -> l
         checks.append(("feasibility monotone around optimum", False, str(exc)))
         return checks
 
-    if cfg_run.num_users == 2:
+    if cfg_run.num_users == 2 and cfg_run.server is not None:
+        for name in ("two-user oracle agreement", "equal-time structure (local = window)",
+                     "offloaded bits fill the shared window"):
+            checks.append((name, True, "skipped: closed form has no server term"))
+    elif cfg_run.num_users == 2:
         try:
             params = TwoUserParams.from_scenario(realization, cfg_run)
             sol = solve_two_user(params)

@@ -7,13 +7,14 @@ is monotone in the delay (a witness at some delay scales down its powers
 to witness any larger delay), so the bracket always contains the optimum
 and convergence is geometric.
 
-Without an edge server the feasibility problem at a fixed trial delay is
-convex (the maximum normalized constraint violation is a convex function
-of (beta, p)) and every case is decided exactly, so the reported delay is
-globally optimal within eps. With a finite-capacity server the rate
-residual (alpha - c sum_j beta_j L_j) R_m(p) is bilinear in (beta, p): the
-problem is not convex, and with free ratios the oracle's answer is a
-local one. Pinned ratios are decided exactly with or without a server.
+Every oracle call is decided exactly, with or without an edge server, so
+the reported delay is globally optimal within eps. Without a server the
+feasibility problem at a fixed trial delay is convex (the maximum
+normalized constraint violation is a convex function of (beta, p)). With
+a finite-capacity server the rate residual (alpha - c_s sum_j beta_j L_j)
+R_m(p) is bilinear in (beta, p), so the problem is not convex; a
+reduction to a monotone fixed point in the total offloaded bits (below)
+still decides it exactly.
 
 Free ratios, two or more users, no server: one frontier pass. With L_j
 the task bits, T_j and E_j the fully-local time and energy, g_j the gain
@@ -70,12 +71,28 @@ single-user one it is stricter than the minimax verdict inside the
 (0, eps_feas] band, where a budget relaxed by the band would allow more
 power.
 
-Free ratios with a server go to the general oracle, which minimizes the
-maximum normalized violation over the numpy problem arrays: it screens a
-few structured candidate points (least offload, full offload, the
-previous step's witness) and, when none of them certifies feasibility,
-runs an SLSQP epigraph polish from the best one with the analytic
-Jacobian.
+Free ratios with a server, any number of users: a fixed point of
+frontier passes. Write W for the total offloaded bits sum_j beta_j L_j
+and c_s for the server's cycles per bit over its CPU frequency. For a
+fixed W every rate constraint sees the window alpha - c_s W, while the
+local-time and energy constraints still see alpha, so the frontier pass
+with c built from that window gives U_min(W), the least total bits that
+meet every constraint at that window. A wider window admits more
+allocations, so g(W) = U_min(alpha - c_s W) is nondecreasing in W, and
+alpha is feasible if and only if g(W) <= W for some W: an allocation
+with total W has g(W) <= W, and conversely the least-bits witness at
+such a W offloads at most W bits, so its own window is at least as wide
+as the one it was found at. Iterating W <- g(W) from W = 0 therefore
+rises through lower bounds of the least fixed point: by induction
+W_k <= W* for any W* with g(W*) <= W*, since g(W_k) <= g(W*) <= W*. The
+oracle stops feasible once the witness's max residual at its own window
+alpha - c_s sum_j beta_j L_j is <= eps_feas, and infeasible when the
+next window is not positive, a pass fails, or W stops rising. Every pass
+that continues the loop raises W strictly while keeping it below
+alpha / c_s, so the loop ends after finitely many passes, though near
+the optimum it may take a thousand or more of them (each O(M^2) scalar
+steps). The same unrelaxed-then-relaxed pair of runs as without a server
+applies. With no server c_s = 0 and the loop is the single pass above.
 """
 
 from __future__ import annotations
@@ -85,6 +102,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+# no solver path calls SLSQP; bench/tracing.py and the tests' SLSQP guards
+# patch this name (ROADMAP item 2 retires the hook)
 from scipy.optimize import minimize
 
 from .model import (
@@ -119,8 +138,7 @@ class FeasibilityReport:
     """Verdict of one oracle call.
 
     residual is the max normalized violation at the witness, and the call
-    is feasible when it is <= eps_feas. For the general oracle it is the
-    minimax value SLSQP reached; for the exact single-user branch it is
+    is feasible when it is <= eps_feas. For the single-user branch it is
     the violation at the minimum-energy point, and for pinned ratios the
     violation with every power at its energy cap. For the frontier pass a
     feasible witness is the least-bits end of the last frontier; an
@@ -128,26 +146,23 @@ class FeasibilityReport:
     prefix rate constraint the relaxed pass cannot meet (earlier users on
     the frontier, later users at their least share, powers at the energy
     cap), and its residual, > eps_feas, bounds the minimax value from
-    above. uncertain marks an infeasible verdict that SLSQP reached
-    without converging; the exact branches are never uncertain.
-    inner_iterations is always 0: the oracle has no iterative stage of
-    its own; the field stays for callers that read it.
+    above. With a server the residual is taken at the witness's own rate
+    window, alpha less the server time of its offloaded bits; an
+    infeasible witness is the last pass of the fixed-point loop.
     """
 
     feasible: bool
     witness: Optional[Allocation]
     residual: float
+    # always 0, and uncertain always False: every verdict is exact; both
+    # stay for bench/tracing.py (ROADMAP item 2 retires them)
     inner_iterations: int
     uncertain: bool = False
 
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Bisection outcome.
-
-    uncertain_verdicts counts the oracle calls of the bisection steps and
-    the certification whose report was uncertain.
-    """
+    """Bisection outcome."""
 
     optimal_delay: float
     allocation: Allocation
@@ -155,7 +170,6 @@ class SolveResult:
     trace: tuple
     converged: bool
     feasibility_residual: float
-    uncertain_verdicts: int
 
 
 def init_bounds(config: ScenarioConfig) -> tuple[float, float]:
@@ -164,7 +178,7 @@ def init_bounds(config: ScenarioConfig) -> tuple[float, float]:
 
 
 class _Problem:
-    """Scenario arrays for the free-ratio server oracle and constraint_violations."""
+    """Scenario arrays for constraint_violations, the numpy reference the tests use."""
 
     def __init__(self, gains, config: ScenarioConfig):
         g = gains.gains if isinstance(gains, ChannelRealization) else gains
@@ -179,12 +193,8 @@ class _Problem:
         self.local_coef = np.array([u.local_full_time for u in config.users])
         self.energy_coef = np.array([u.local_full_energy for u in config.users])
         self.prefix_bits_scale = np.cumsum(self.task_bits)
-        self.tril = np.tril(np.ones((self.n, self.n)))
         self.alpha_scale = float(self.local_coef.max())
-        if config.server is not None:
-            self.server_coef = config.server.cycles_per_bit / config.server.cpu_freq
-        else:
-            self.server_coef = 0.0
+        self.server_coef = _server_coef(config)
 
     def residuals(self, alpha: float, beta: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Normalized (rate, local, energy) residuals; <= 0 means satisfied."""
@@ -197,33 +207,10 @@ class _Problem:
         energy_res = (self.energy_coef * (1.0 - beta) + alpha * p - self.e_max) / self.e_max
         return np.concatenate([rate_res, local_res, energy_res])
 
-    def jacobian(self, alpha: float, beta: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """(3M x 2M) Jacobian of residuals with respect to (beta, p)."""
-        n = self.n
-        snr = 1.0 + np.cumsum(self.g * p)
-        rate = self.bandwidth * np.log2(snr)
-        t_srv = self.server_coef * float(np.dot(beta, self.task_bits))
-        scale = self.prefix_bits_scale[:, None]
-        # rate row m depends on (beta_j, p_j) for j <= m, and on every
-        # beta_j through the server time
-        srv_b = np.outer(rate, self.server_coef * self.task_bits)
-        rate_b = (self.tril * self.task_bits + srv_b) / scale
-        rate_p = self.tril * (-(alpha - t_srv) * self.bandwidth * self.g)
-        rate_p = rate_p / (snr[:, None] * _LN2) / scale
-        return np.block([
-            [rate_b, rate_p],
-            [np.diag(-self.local_coef / self.alpha_scale), np.zeros((n, n))],
-            [np.diag(-self.energy_coef / self.e_max), np.diag(np.full(n, alpha / self.e_max))],
-        ])
-
     def power_cap(self, alpha: float, beta: np.ndarray) -> np.ndarray:
         """Max per-user power the energy budget allows at this delay."""
         head = (self.e_max - self.energy_coef * (1.0 - beta)) / alpha
         return np.clip(head, 0.0, self.p_max)
-
-    def beta_floor(self, alpha: float) -> np.ndarray:
-        """Least offload share meeting the local-time constraint."""
-        return np.clip(1.0 - alpha / self.local_coef, 0.0, 1.0)
 
 
 def constraint_violations(
@@ -266,42 +253,6 @@ def max_violation(alpha: float, alloc: Allocation, gains, config: ScenarioConfig
     return max(_max_residual(alpha, window, g, specs, config, betas, powers), box)
 
 
-def _slsqp_polish(prob: _Problem, alpha: float, x0: np.ndarray, phi0: float):
-    """Epigraph form min s s.t. residuals <= s over the box; returns (x, phi, ok)."""
-    n = prob.n
-    nx = len(x0)
-
-    def split(x):
-        return x[:n], x[n:] * prob.p_max
-
-    def cons_f(z):
-        beta, p = split(z[:nx])
-        return z[nx] - prob.residuals(alpha, beta, p)
-
-    def cons_jac(z):
-        beta, p = split(z[:nx])
-        jac = np.ones((3 * n, nx + 1))  # last column: the epigraph variable s
-        jac[:, :nx] = -prob.jacobian(alpha, beta, p)
-        jac[:, n:nx] *= prob.p_max
-        return jac
-
-    z0 = np.concatenate([x0, [phi0 + 1e-6]])
-    bounds = [(0.0, 1.0)] * nx + [(None, None)]
-    res = minimize(
-        lambda z: z[nx],
-        z0,
-        jac=lambda z: np.concatenate([np.zeros(nx), [1.0]]),
-        bounds=bounds,
-        constraints=[{"type": "ineq", "fun": cons_f, "jac": cons_jac}],
-        method="SLSQP",
-        options={"maxiter": 250, "ftol": 1e-14},
-    )
-    x = np.clip(res.x[:nx], 0.0, 1.0)
-    beta, p = split(x)
-    phi = float(np.max(prob.residuals(alpha, beta, p)))
-    return x, phi, bool(res.success)
-
-
 def _pow2m1(x: float) -> float:
     """2**x - 1, +inf once it leaves the float range."""
     try:
@@ -320,17 +271,29 @@ def _gain_tuple(gains, n: int) -> tuple:
     g = gains.gains if isinstance(gains, ChannelRealization) else tuple(map(float, gains))
     if len(g) != n:
         raise UsageError("gains and users must have matching length")
-    if not all(0.0 < x < math.inf for x in g):
-        raise UsageError("gains must be finite and strictly positive")
+    for x in g:
+        if not 0.0 < x < math.inf:
+            raise UsageError("gains must be finite and strictly positive")
     return g
+
+
+def _server_coef(config: ScenarioConfig) -> float:
+    """Server compute seconds per offloaded bit, 0 without a server."""
+    if config.server is None:
+        return 0.0
+    return config.server.cycles_per_bit / config.server.cpu_freq
+
+
+def _offloaded_bits(specs, betas) -> float:
+    """Total offloaded bits sum_j beta_j L_j."""
+    return sum(beta * size for (size, _, _), beta in zip(specs, betas))
 
 
 def _rate_window(alpha: float, config: ScenarioConfig, specs, betas) -> float:
     """The time the rate constraints get: alpha less the server's compute time."""
     if config.server is None:
         return alpha
-    coef = config.server.cycles_per_bit / config.server.cpu_freq
-    return alpha - coef * sum(beta * size for (size, _, _), beta in zip(specs, betas))
+    return alpha - _server_coef(config) * _offloaded_bits(specs, betas)
 
 
 def _max_residual(
@@ -405,16 +368,18 @@ def _root(c: float, r: float, u: float, s: float, slope: float, bound: float) ->
     return t
 
 
-def _frontier_pass(alpha: float, g, specs, config: ScenarioConfig, eps: float):
+def _frontier_pass(alpha: float, window: float, g, specs, config: ScenarioConfig, eps: float):
     """One pass over the users with every bound relaxed by eps.
 
-    specs holds each user's (task bits, local time, local energy).
+    specs holds each user's (task bits, local time, local energy). The
+    rate constraints get ``window`` (alpha less the server time, or alpha
+    itself), the local-time and energy bounds alpha.
     Returns (feasible, betas, powers). A feasible pass gives the
     least-bits point of the last frontier. An infeasible pass gives the
     point that comes closest to meeting the first prefix it cannot meet,
     with the later users at their least offload.
     """
-    c = alpha * config.bandwidth / _LN2  # prefix m needs c ln(1 + S) >= U - eps P_m
+    c = window * config.bandwidth / _LN2  # prefix m needs c ln(1 + S) >= U - eps P_m
     t_max = max(t_loc for _, t_loc, _ in specs)
     budget = config.e_max * (1.0 + eps)
     # least share (the local-time bound, and a budget that leaves p >= 0)
@@ -495,21 +460,32 @@ def _frontier_pass(alpha: float, g, specs, config: ScenarioConfig, eps: float):
 
 
 def _exact_noma(alpha: float, g, config: ScenarioConfig, eps_feas: float) -> FeasibilityReport:
-    """Exact verdict for two or more users with free ratios and no server.
+    """Exact verdict for free ratios: two or more users, or a server.
 
-    Runs the frontier pass of the module docstring unrelaxed and, when
-    that fails, relaxed by eps_feas (less a 1e-4 share); the witness comes
-    from the first pass that succeeds, or from the relaxed one when
-    neither does.
+    Iterates frontier passes at the windows alpha - c_s W, W <- U_min
+    from W = 0 (one pass without a server), first unrelaxed and, when
+    that does not end on a feasible witness, relaxed by eps_feas (less a
+    1e-4 share); the witness comes from the relaxed run then. Each
+    residual is taken at the witness's own window.
     """
     specs = _specs(config)
-    feasible, betas, powers = _frontier_pass(alpha, g, specs, config, 0.0)
-    if not feasible:
-        # the relaxed witness sits on relaxed bounds; the margin keeps the
-        # few ulp its residuals round by from pushing it past eps_feas
-        relaxed = eps_feas * (1.0 - _RELAX_MARGIN)
-        _, betas, powers = _frontier_pass(alpha, g, specs, config, relaxed)
-    residual = _max_residual(alpha, alpha, g, specs, config, betas, powers)
+    coef = _server_coef(config)
+    # the relaxed witness sits on relaxed bounds; the margin keeps the few
+    # ulp its residuals round by from pushing it past eps_feas
+    for eps in (0.0, eps_feas * (1.0 - _RELAX_MARGIN)):
+        total, window = 0.0, alpha
+        while True:
+            feasible, betas, powers = _frontier_pass(alpha, window, g, specs, config, eps)
+            if not (feasible or eps):
+                break  # an unrelaxed pass that fails goes to the relaxed run
+            bits = coef and _offloaded_bits(specs, betas)  # 0, one pass, without a server
+            own = alpha - coef * bits
+            residual = _max_residual(alpha, own, g, specs, config, betas, powers)
+            if residual <= eps_feas or not feasible or bits <= total or own <= 0.0:
+                break
+            total, window = bits, own
+        if feasible and residual <= eps_feas:
+            break
     witness = Allocation(betas=tuple(betas), powers=tuple(powers))
     return FeasibilityReport(residual <= eps_feas, witness, residual, 0)
 
@@ -553,74 +529,34 @@ def check_feasibility(
     gains,
     config: ScenarioConfig,
     eps_feas: float = 1e-8,
-    warm: Optional[Allocation] = None,
     fixed_betas: Optional[Sequence[float]] = None,
 ) -> FeasibilityReport:
     """Decide whether any allocation meets every constraint at delay alpha.
 
     Returns a report whose witness attains the reported max violation.
-    With ``fixed_betas`` (one ratio in [0, 1] per user, else UsageError)
-    the powers at their energy caps decide feasibility exactly, with or
-    without a server, in scalar arithmetic. Free ratios without a server
-    are decided exactly as well, in closed form for one user and by the
-    frontier pass for more. Screening and SLSQP serve only free ratios
-    with a finite server.
+    Every verdict is exact and computed in scalar arithmetic. With
+    ``fixed_betas`` (one ratio in [0, 1] per user, else UsageError) the
+    powers at their energy caps decide it. Free ratios are decided in
+    closed form for one user without a server, and otherwise by the
+    frontier pass, iterated to a fixed point in the total offloaded bits
+    when a server is configured. Gains must be one finite positive value
+    per user, else UsageError.
     """
     if not (math.isfinite(eps_feas) and eps_feas > 0):
         raise UsageError("eps_feas must be finite and > 0")
     n = len(config.users)
+    g = _gain_tuple(gains, n)
     if fixed_betas is not None:
         betas = _pinned_ratios(fixed_betas, n)
-        g = _gain_tuple(gains, n)
         if alpha <= 0.0:
             return FeasibilityReport(False, Allocation(betas, (0.0,) * n), math.inf, 0)
         return _exact_pinned(alpha, g, config, eps_feas, betas)
-    if config.server is None and alpha > 0.0:
-        g = gains.gains if isinstance(gains, ChannelRealization) else tuple(map(float, gains))
-        if n == 1 == len(g) and 0.0 < g[0] < math.inf:
-            return _exact_single_user(alpha, g[0], config, eps_feas)
-        if n == len(g) > 1 and all(0.0 < x < math.inf for x in g):
-            return _exact_noma(alpha, g, config, eps_feas)
-    prob = _Problem(gains, config)
     if alpha <= 0.0:
         zero = Allocation(betas=(0.0,) * n, powers=(0.0,) * n)
         return FeasibilityReport(False, zero, math.inf, 0)
-
-    def phi_at(beta, p):
-        return float(np.max(prob.residuals(alpha, beta, p)))
-
-    # structured candidates: least-offload and full-offload, powers at the
-    # energy cap, plus the warm start from the previous bisection step
-    floor = prob.beta_floor(alpha)
-    ones = np.ones(n)
-    candidates = [(floor, prob.power_cap(alpha, floor)), (ones, prob.power_cap(alpha, ones))]
-    if warm is not None:
-        wb = np.clip(np.asarray(warm.betas, dtype=float), 0.0, 1.0)
-        wp = np.clip(np.asarray(warm.powers, dtype=float), 0.0, prob.p_max)
-        candidates.append((wb, wp))
-
-    best_beta, best_p = candidates[0]
-    best_phi = phi_at(best_beta, best_p)
-    for cb, cp in candidates[1:]:
-        phi = phi_at(cb, cp)
-        if phi < best_phi:
-            best_phi, best_beta, best_p = phi, cb, cp
-
-    target = 0.5 * eps_feas
-    uncertain = False
-    if best_phi > target:
-        x0 = np.concatenate([best_beta, best_p / prob.p_max])
-        x, phi, ok = _slsqp_polish(prob, alpha, x0, best_phi)
-        if phi < best_phi:
-            best_phi = phi
-            best_beta, best_p = x[:n], x[n:] * prob.p_max
-        uncertain = not ok and best_phi > eps_feas
-
-    witness = Allocation(
-        betas=tuple(np.clip(best_beta, 0.0, 1.0)),
-        powers=tuple(np.clip(best_p, 0.0, prob.p_max)),
-    )
-    return FeasibilityReport(best_phi <= eps_feas, witness, best_phi, 0, uncertain)
+    if n == 1 and config.server is None:
+        return _exact_single_user(alpha, g[0], config, eps_feas)
+    return _exact_noma(alpha, g, config, eps_feas)
 
 
 def bss_solve(
@@ -633,10 +569,8 @@ def bss_solve(
 ) -> SolveResult:
     """Least common delay by bisection on the feasibility oracle.
 
-    Without a server, or with pinned ratios, every oracle verdict is
-    exact, so the delay is globally optimal within eps; with a finite
-    server and free ratios it is a local answer (see the module
-    docstring).
+    Every oracle verdict is exact, with or without a server, so the
+    delay is globally optimal within eps (see the module docstring).
 
     Performs ceil(log2(bracket / eps)) halvings, then certifies the
     returned allocation with one extra feasibility solve at the reported
@@ -658,14 +592,10 @@ def bss_solve(
         )
     witness = top.witness
     trace = []
-    uncertain = 0
     while hi - lo > eps:
         mid = 0.5 * (lo + hi)
-        rep = check_feasibility(
-            mid, gains, config, eps_feas, warm=witness, fixed_betas=fixed_betas
-        )
+        rep = check_feasibility(mid, gains, config, eps_feas, fixed_betas=fixed_betas)
         trace.append((mid, rep.feasible))
-        uncertain += rep.uncertain
         if rep.feasible:
             hi = mid
             witness = rep.witness
@@ -673,17 +603,13 @@ def bss_solve(
             lo = mid
     alpha_star = 0.5 * (lo + hi)
 
-    cert = check_feasibility(
-        alpha_star + eps, gains, config, eps_feas, warm=witness, fixed_betas=fixed_betas
-    )
-    uncertain += cert.uncertain
+    cert = check_feasibility(alpha_star + eps, gains, config, eps_feas, fixed_betas=fixed_betas)
     if cert.feasible:
         witness = cert.witness
         residual = cert.residual
         converged = True
     else:
-        core = constraint_violations(alpha_star + eps, witness, gains, config)
-        residual = float(core.max())
+        residual = max_violation(alpha_star + eps, witness, gains, config)
         converged = residual <= eps_feas
     return SolveResult(
         optimal_delay=alpha_star,
@@ -692,5 +618,4 @@ def bss_solve(
         trace=tuple(trace),
         converged=converged,
         feasibility_residual=residual,
-        uncertain_verdicts=uncertain,
     )

@@ -205,7 +205,7 @@ def test_c6_monotone_feasibility_and_dominance():
         r_lo = check_feasibility(a_lo, realization, cfg)
         if not r_lo.feasible:
             continue
-        r_hi = check_feasibility(a_hi, realization, cfg, warm=r_lo.witness)
+        r_hi = check_feasibility(a_hi, realization, cfg)
         if not r_hi.feasible:
             scaled = Allocation(
                 betas=r_lo.witness.betas,

@@ -8,6 +8,7 @@ so this loads the tracer by path and exercises its hooks.
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -64,3 +65,24 @@ def test_traced_solve_records_spans(tracing, tmp_path, capsys):
     for module_name, attr, _ in tracing.PATCH_POINTS:
         target = getattr(importlib.import_module(module_name), attr)
         assert getattr(target, "__name__", "") != "traced"
+
+
+def test_traced_server_solve_runs_no_slsqp(tracing, tmp_path, capsys):
+    # configs/s1.json plus a finite server: the free-ratio server oracle is
+    # exact, so the tracer's SLSQP and uncertain counters read 0
+    root = Path(__file__).resolve().parent.parent
+    cfg = json.loads((root / "configs" / "s1.json").read_text())
+    cfg["server"] = {"cycles_per_bit": 1e3, "cpu_freq_hz": 1e10, "kappa": 1e-28}
+    config = tmp_path / "s1_server.json"
+    config.write_text(json.dumps(cfg))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert main(["solve", str(config), "--method", "bss", "--out", str(tmp_path)]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    layers = tracing.layer_metrics(tracer.spans, 0)
+    assert layers["solver.check_feasibility.calls"][0] > 0
+    assert layers["solver.slsqp.calls"][0] == 0
+    assert layers["solver.check_feasibility.uncertain"][0] == 0

@@ -380,6 +380,17 @@ class TestVerifyCommand:
         path = write_config(tmp_path, name="sym.json", users=users, master_seed=5)
         assert main(["verify", path]) == 0
 
+    def test_server_skips_the_two_user_closed_form_checks(self, tmp_path, capsys):
+        # neither the closed form nor the grid oracle has a server term, so
+        # the two-user checks cannot speak for a server scenario
+        path = write_config(tmp_path, server=SERVER)
+        rc = main(["verify", path])
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        assert "FAIL" not in out
+        assert out.count("skipped: closed form has no server term") == 3
+        assert "feasibility monotone around optimum: ok" in out
+
 
 def test_python_dash_m_runs_the_cli():
     # a checkout without the console script runs the same parser
