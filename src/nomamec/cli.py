@@ -124,6 +124,8 @@ def run_sweep(
         raise UsageError(f"unknown axis {axis!r}; choose from {AXES}")
     if not values:
         raise UsageError("a sweep needs at least one axis value")
+    if len(set(values)) != len(values):
+        raise UsageError(f"sweep axis values must be distinct, got {list(values)}")
     if not schemes:
         raise UsageError("a sweep needs at least one scheme")
     if n_seeds < 1:
@@ -136,13 +138,14 @@ def run_sweep(
     os.makedirs(out_dir, exist_ok=True)
 
     rows = []
+    streams: dict = {}  # each (trial, point, user) draw, made once per sweep
     for vi, (value, cfg_point) in enumerate(zip(values, points)):
         for trial in range(n_seeds):
             seed = Seed(master=loaded.master_seed, trial=trial)
             # user_count sweeps keep one stream per (trial, user) so the
             # draws nest across counts and delay curves are coupled
             point = None if fixed_channels or axis == "user_count" else vi
-            realization = generate_channels(seed, cfg_point, point=point)
+            realization = generate_channels(seed, cfg_point, point=point, streams=streams)
             cfg_run = reorder_users(cfg_point, realization)
             for scheme in schemes:
                 try:

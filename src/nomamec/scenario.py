@@ -62,7 +62,11 @@ def gains_from_draws(
 
 
 def generate_channels(
-    seed: Seed, config: ScenarioConfig, point: Optional[int] = None
+    seed: Seed,
+    config: ScenarioConfig,
+    point: Optional[int] = None,
+    *,
+    streams: Optional[dict] = None,
 ) -> ChannelRealization:
     """One fading draw for every user, sorted into decode order.
 
@@ -72,16 +76,22 @@ def generate_channels(
     draws from its own seed substream, so the first k users of an
     (k+1)-user scenario see exactly the channels of the k-user one;
     user-count sweeps are therefore coupled across counts.
+
+    ``streams`` is a dict the caller keeps across calls: each user's draw
+    is stored there under (seed, point, user) and read back instead of
+    drawn again, so a user-count sweep draws each stream once.
     """
     n = config.num_users
+    draws = {} if streams is None else streams
     u = np.empty(n)
     re = np.empty(n)
     im = np.empty(n)
     for i in range(n):
-        rng = rng_for(seed, point, user=i)
-        u[i] = rng.random()
-        re[i] = rng.standard_normal()
-        im[i] = rng.standard_normal()
+        key = (seed, point, i)
+        if key not in draws:
+            rng = rng_for(seed, point, user=i)
+            draws[key] = (rng.random(), rng.standard_normal(), rng.standard_normal())
+        u[i], re[i], im[i] = draws[key]
     drawn = config.cell_radius * (1.0 - u)  # uniform in (0, R]
     fixed = np.array([usr.distance for usr in config.users])
     distances = np.where(fixed > 0.0, fixed, drawn)

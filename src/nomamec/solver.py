@@ -1,11 +1,14 @@
 """Bisection search over the auxiliary delay with a feasibility oracle.
 
 The outer loop halves a bracket on the common delay until it is narrower
-than ``eps``; each step asks whether any (beta, p) satisfies the rate,
-local-time, box and energy constraints at the trial delay. Feasibility
-is monotone in the delay (a witness at some delay scales down its powers
-to witness any larger delay), so the bracket always contains the optimum
-and convergence is geometric.
+than ``eps`` (or no float lies between its ends); each step asks whether
+any (beta, p) satisfies the rate, local-time, box and energy constraints
+at the trial delay. Feasibility is monotone in the delay (a witness at
+some delay scales down its powers to witness any larger delay), so the
+bracket always contains the optimum and convergence is geometric. A
+halving needs only the yes/no verdict and builds no allocation;
+check_feasibility builds the witness at the bracket top and at the
+certification delay.
 
 Every oracle call is decided exactly, with or without an edge server, so
 the reported delay is globally optimal within eps. Without a server the
@@ -49,17 +52,20 @@ reaches 1. Clipping that point to [p_lo, p_max] gives the minimum-energy
 admissible allocation.
 
 Both exact verdicts compare the witness's max normalized residual with
-eps_feas. The frontier pass runs unrelaxed first and takes the witness
-from that pass when it succeeds. Otherwise it relaxes every bound the way
-the normalized residuals do (share >= 1 - (alpha + eps T_max) / T_j,
-budget e_max (1 + eps), rate offset eps P_m with P_m the prefix task
-bits) by eps = eps_feas less a 1e-4 share, which keeps rounding in the
-witness's residuals from pushing it past eps_feas. Its verdict is thus
-the minimax one (is the least max residual <= eps_feas?) except in that
-thin top slice of the band. The single-user witness is the minimum-energy
-point, not the minimax one, so inside the whole (0, eps_feas] band that
-verdict is stricter: it may say infeasible where a point violating every
-constraint by less than eps_feas exists.
+eps_feas. check_feasibility runs the frontier pass unrelaxed first and
+takes the witness from that pass when it succeeds. Otherwise it relaxes
+every bound the way the normalized residuals do (share >= 1 - (alpha +
+eps T_max) / T_j, budget e_max (1 + eps), rate offset eps P_m with P_m
+the prefix task bits) by eps = eps_feas less a 1e-4 share, which keeps
+rounding in the witness's residuals from pushing it past eps_feas. Its
+verdict is thus the minimax one (is the least max residual <= eps_feas?)
+except in that thin top slice of the band. A bisection halving without a
+server takes the relaxed pass alone: the relaxed bounds contain the
+unrelaxed ones, so an unrelaxed success implies a relaxed one, and the
+verdict is the same from one pass instead of up to two. The single-user
+witness is the minimum-energy point, not the minimax one, so inside the
+whole (0, eps_feas] band that verdict is stricter: it may say infeasible
+where a point violating every constraint by less than eps_feas exists.
 
 Pinned ratios (``fixed_betas``, as in full offloading), with or without a
 server, are decided in O(M) scalar steps. Each power sits at its energy
@@ -91,8 +97,11 @@ next window is not positive, a pass fails, or W stops rising. Every pass
 that continues the loop raises W strictly while keeping it below
 alpha / c_s, so the loop ends after finitely many passes, though near
 the optimum it may take a thousand or more of them (each O(M^2) scalar
-steps). The same unrelaxed-then-relaxed pair of runs as without a server
-applies. With no server c_s = 0 and the loop is the single pass above.
+steps). As without a server, the loop runs unrelaxed and then, unless
+that ends on a feasible witness, relaxed; bisection halvings keep that
+order here, since a relaxed loop has to end about 1e4 times closer to
+the fixed point before its witness's residual clears eps_feas. With no
+server c_s = 0 and the loop is the single pass above.
 """
 
 from __future__ import annotations
@@ -236,7 +245,7 @@ def constraint_violations(
 
 
 def max_violation(alpha: float, alloc: Allocation, gains, config: ScenarioConfig) -> float:
-    """Max constraint violation; the function the inner oracle minimizes.
+    """Max normalized violation of every constraint, box bounds included.
 
     The max of constraint_violations, to rounding, in scalar arithmetic.
     """
@@ -321,10 +330,8 @@ def _max_residual(
     return worst
 
 
-def _exact_single_user(
-    alpha: float, g: float, config: ScenarioConfig, eps_feas: float
-) -> FeasibilityReport:
-    """Exact verdict for one user with a free ratio and no server.
+def _exact_single_user(alpha: float, g: float, config: ScenarioConfig) -> tuple:
+    """(betas, powers, residual) for one user with a free ratio and no server.
 
     Evaluates the minimum-energy admissible allocation derived in the
     module docstring, in plain float arithmetic.
@@ -343,8 +350,7 @@ def _exact_single_user(
         (t_loc * (1.0 - beta) - alpha) / t_loc,
         (e_loc * (1.0 - beta) + alpha * p - config.e_max) / config.e_max,
     )
-    witness = Allocation(betas=(beta,), powers=(p,))
-    return FeasibilityReport(residual <= eps_feas, witness, residual, 0)
+    return (beta,), (p,), residual
 
 
 def _root(c: float, r: float, u: float, s: float, slope: float, bound: float) -> float:
@@ -459,56 +465,20 @@ def _frontier_pass(alpha: float, window: float, g, specs, config: ScenarioConfig
     return feasible, betas, powers
 
 
-def _exact_noma(alpha: float, g, config: ScenarioConfig, eps_feas: float) -> FeasibilityReport:
-    """Exact verdict for free ratios: two or more users, or a server.
-
-    Iterates frontier passes at the windows alpha - c_s W, W <- U_min
-    from W = 0 (one pass without a server), first unrelaxed and, when
-    that does not end on a feasible witness, relaxed by eps_feas (less a
-    1e-4 share); the witness comes from the relaxed run then. Each
-    residual is taken at the witness's own window.
-    """
-    specs = _specs(config)
-    coef = _server_coef(config)
-    # the relaxed witness sits on relaxed bounds; the margin keeps the few
-    # ulp its residuals round by from pushing it past eps_feas
-    for eps in (0.0, eps_feas * (1.0 - _RELAX_MARGIN)):
-        total, window = 0.0, alpha
-        while True:
-            feasible, betas, powers = _frontier_pass(alpha, window, g, specs, config, eps)
-            if not (feasible or eps):
-                break  # an unrelaxed pass that fails goes to the relaxed run
-            bits = coef and _offloaded_bits(specs, betas)  # 0, one pass, without a server
-            own = alpha - coef * bits
-            residual = _max_residual(alpha, own, g, specs, config, betas, powers)
-            if residual <= eps_feas or not feasible or bits <= total or own <= 0.0:
-                break
-            total, window = bits, own
-        if feasible and residual <= eps_feas:
-            break
-    witness = Allocation(betas=tuple(betas), powers=tuple(powers))
-    return FeasibilityReport(residual <= eps_feas, witness, residual, 0)
-
-
-def _exact_pinned(
-    alpha: float, g, config: ScenarioConfig, eps_feas: float, betas: tuple
-) -> FeasibilityReport:
-    """Exact verdict for pinned ratios, with or without a server.
+def _exact_pinned(alpha: float, g, specs, config: ScenarioConfig, betas: tuple) -> tuple:
+    """(betas, powers, residual) for pinned ratios, with or without a server.
 
     Every power sits at its energy cap (see the module docstring); with
     the ratios fixed the server time, and so the rate window, is a
     constant.
     """
-    specs = _specs(config)
     e_max, p_max = config.e_max, config.p_max
     powers = [
         min(max((e_max - e_loc * (1.0 - beta)) / alpha, 0.0), p_max)
         for (_, _, e_loc), beta in zip(specs, betas)
     ]
     window = _rate_window(alpha, config, specs, betas)
-    residual = _max_residual(alpha, window, g, specs, config, betas, powers)
-    witness = Allocation(betas=betas, powers=tuple(powers))
-    return FeasibilityReport(residual <= eps_feas, witness, residual, 0)
+    return betas, powers, _max_residual(alpha, window, g, specs, config, betas, powers)
 
 
 def _pinned_ratios(fixed_betas, n: int) -> tuple:
@@ -522,6 +492,97 @@ def _pinned_ratios(fixed_betas, n: int) -> tuple:
     if not all(0.0 <= b <= 1.0 for b in betas):
         raise UsageError(f"fixed_betas must lie in [0, 1], got {betas!r}")
     return betas
+
+
+def _check_eps_feas(eps_feas: float) -> None:
+    if not (math.isfinite(eps_feas) and eps_feas > 0):
+        raise UsageError("eps_feas must be finite and > 0")
+
+
+class _Oracle:
+    """One scenario's oracle inputs, checked and precomputed once.
+
+    The gains (one finite positive value per user) and the pinned ratios
+    (one in [0, 1] per user) are checked here, else UsageError. report()
+    decides a delay and builds its witness; holds() returns only the
+    verdict, which is all a bisection halving needs, so bss_solve builds
+    one _Oracle per solve and no allocation per halving.
+    """
+
+    def __init__(self, gains, config: ScenarioConfig, fixed_betas=None):
+        n = len(config.users)
+        self.g = _gain_tuple(gains, n)
+        self.pinned = None if fixed_betas is None else _pinned_ratios(fixed_betas, n)
+        self.config = config
+        self.specs = _specs(config)
+        self.coef = _server_coef(config)
+
+    def report(self, alpha: float, eps_feas: float) -> FeasibilityReport:
+        """Verdict and witness at delay alpha; free ratios prefer the unrelaxed witness."""
+        if alpha <= 0.0:
+            n = len(self.g)
+            betas = (0.0,) * n if self.pinned is None else self.pinned
+            return FeasibilityReport(False, Allocation(betas, (0.0,) * n), math.inf, 0)
+        betas, powers, residual = self._decide(alpha, eps_feas, unrelaxed_first=True)
+        witness = Allocation(betas=tuple(betas), powers=tuple(powers))
+        return FeasibilityReport(residual <= eps_feas, witness, residual, 0)
+
+    def holds(self, alpha: float, eps_feas: float) -> bool:
+        """report(alpha, eps_feas).feasible for alpha > 0, without building the report.
+
+        Without a server, free ratios take the relaxed pass alone. Its
+        bounds contain the unrelaxed ones, so an unrelaxed success implies
+        a relaxed one, and report() falls back to the relaxed pass whenever
+        the unrelaxed one fails: the verdict is the same, from one pass
+        instead of up to two. With a server the unrelaxed run still goes
+        first: a relaxed witness has to come about 1e4 times closer to the
+        fixed point before its residual at its own window clears
+        eps_feas, so on feasible delays the relaxed loop takes about twice
+        the passes, more than skipping the unrelaxed loop saves on
+        infeasible ones.
+        """
+        return self._decide(alpha, eps_feas, self.coef > 0.0)[2] <= eps_feas
+
+    def _decide(self, alpha: float, eps_feas: float, unrelaxed_first: bool) -> tuple:
+        """(betas, powers, residual) at delay alpha > 0.
+
+        With ``unrelaxed_first`` free ratios run unrelaxed first and keep
+        that witness when it is feasible; otherwise they run relaxed only.
+        """
+        g, config = self.g, self.config
+        if self.pinned is not None:
+            return _exact_pinned(alpha, g, self.specs, config, self.pinned)
+        if len(g) == 1 and config.server is None:
+            return _exact_single_user(alpha, g[0], config)
+        if unrelaxed_first:
+            found = self._free_run(alpha, 0.0, eps_feas)
+            if found[2] <= eps_feas:
+                return found
+        # the relaxed witness sits on relaxed bounds; the margin keeps the few
+        # ulp its residuals round by from pushing it past eps_feas
+        return self._free_run(alpha, eps_feas * (1.0 - _RELAX_MARGIN), eps_feas)
+
+    def _free_run(self, alpha: float, eps: float, eps_feas: float) -> tuple:
+        """Free ratios: frontier passes at the windows alpha - c_s W, bounds relaxed by eps.
+
+        W <- U_min from W = 0 (one pass without a server) until the
+        witness's residual at its own window is <= eps_feas, a pass fails,
+        W stops rising or the next window is not positive. Returns
+        (betas, powers, residual); an unrelaxed pass that fails returns at
+        once with residual inf.
+        """
+        g, specs, config, coef = self.g, self.specs, self.config, self.coef
+        total, window = 0.0, alpha
+        while True:
+            feasible, betas, powers = _frontier_pass(alpha, window, g, specs, config, eps)
+            if not (feasible or eps):
+                return betas, powers, math.inf
+            bits = coef and _offloaded_bits(specs, betas)  # 0, one pass, without a server
+            own = alpha - coef * bits
+            residual = _max_residual(alpha, own, g, specs, config, betas, powers)
+            if residual <= eps_feas or not feasible or bits <= total or own <= 0.0:
+                return betas, powers, residual
+            total, window = bits, own
 
 
 def check_feasibility(
@@ -539,24 +600,12 @@ def check_feasibility(
     powers at their energy caps decide it. Free ratios are decided in
     closed form for one user without a server, and otherwise by the
     frontier pass, iterated to a fixed point in the total offloaded bits
-    when a server is configured. Gains must be one finite positive value
-    per user, else UsageError.
+    when a server is configured; the unrelaxed run goes first, so a
+    feasible call returns the unrelaxed witness when there is one. Gains
+    must be one finite positive value per user, else UsageError.
     """
-    if not (math.isfinite(eps_feas) and eps_feas > 0):
-        raise UsageError("eps_feas must be finite and > 0")
-    n = len(config.users)
-    g = _gain_tuple(gains, n)
-    if fixed_betas is not None:
-        betas = _pinned_ratios(fixed_betas, n)
-        if alpha <= 0.0:
-            return FeasibilityReport(False, Allocation(betas, (0.0,) * n), math.inf, 0)
-        return _exact_pinned(alpha, g, config, eps_feas, betas)
-    if alpha <= 0.0:
-        zero = Allocation(betas=(0.0,) * n, powers=(0.0,) * n)
-        return FeasibilityReport(False, zero, math.inf, 0)
-    if n == 1 and config.server is None:
-        return _exact_single_user(alpha, g[0], config, eps_feas)
-    return _exact_noma(alpha, g, config, eps_feas)
+    _check_eps_feas(eps_feas)
+    return _Oracle(gains, config, fixed_betas).report(alpha, eps_feas)
 
 
 def bss_solve(
@@ -572,15 +621,22 @@ def bss_solve(
     Every oracle verdict is exact, with or without a server, so the
     delay is globally optimal within eps (see the module docstring).
 
-    Performs ceil(log2(bracket / eps)) halvings, then certifies the
-    returned allocation with one extra feasibility solve at the reported
-    delay plus eps so the stored residual is meaningful at that level.
+    Performs ceil(log2(bracket / eps)) halvings, fewer only when no float
+    lies strictly between the bracket's ends. The halvings are
+    verdict-only: no allocation is built, and without a server free
+    ratios are decided by the relaxed pass alone. check_feasibility
+    decides the bracket top and certifies the returned allocation with
+    one extra call at the reported delay plus eps, so the stored residual
+    is meaningful at that level; should that call fail, the witness is
+    rebuilt at the bracket's feasible end.
 
     Raises InfeasibleScenarioError when even the upper bound (every task
     computed locally, or the caller-supplied bracket top) is infeasible.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise UsageError("eps must be finite and > 0")
+    _check_eps_feas(eps_feas)
+    oracle = _Oracle(gains, config, fixed_betas)
     lo, hi = init_bounds(config)
     if alpha_max is not None:
         hi = alpha_max
@@ -590,15 +646,15 @@ def bss_solve(
             f"no feasible allocation at the delay upper bound {hi:.6g} s "
             f"(max violation {top.residual:.3g}); energy budget too small"
         )
-    witness = top.witness
     trace = []
     while hi - lo > eps:
         mid = 0.5 * (lo + hi)
-        rep = check_feasibility(mid, gains, config, eps_feas, fixed_betas=fixed_betas)
-        trace.append((mid, rep.feasible))
-        if rep.feasible:
+        if not lo < mid < hi:
+            break  # eps is below the float spacing of the bracket
+        feasible = oracle.holds(mid, eps_feas)
+        trace.append((mid, feasible))
+        if feasible:
             hi = mid
-            witness = rep.witness
         else:
             lo = mid
     alpha_star = 0.5 * (lo + hi)
@@ -609,6 +665,7 @@ def bss_solve(
         residual = cert.residual
         converged = True
     else:
+        witness = check_feasibility(hi, gains, config, eps_feas, fixed_betas=fixed_betas).witness
         residual = max_violation(alpha_star + eps, witness, gains, config)
         converged = residual <= eps_feas
     return SolveResult(

@@ -47,7 +47,11 @@ def no_slsqp(monkeypatch):
 
 @pytest.fixture()
 def oracle_reports(monkeypatch):
-    """Every report check_feasibility returns to bss_solve, in call order."""
+    """Every report the module-level check_feasibility returns, in call order.
+
+    bss_solve makes its witness calls (bracket top, certification) there;
+    its halvings are verdict-only and do not show.
+    """
     from nomamec import solver
 
     reports = []

@@ -325,6 +325,19 @@ class TestSweepBadInput:
 
 
     @pytest.mark.parametrize(
+        "axis,values", [("user_count", "2,2"), ("user_count", "2,3,2.0"), ("p_max", "0.01,0.01")]
+    )
+    def test_duplicate_values_exit_2(self, tmp_path, capsys, axis, values):
+        # a repeated value wrote a second identical row and a mean over "2 seeds" of one
+        path = write_config(tmp_path, e_max_j=2.0)
+        out_dir = tmp_path / "out"
+        rc = main(["sweep", path, "--axis", axis, "--values", values, "--schemes", "local",
+                   "--out", str(out_dir)])
+        assert rc == 2
+        assert "distinct" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
         "flags",
         [
             ["--values", ","],

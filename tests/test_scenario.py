@@ -53,6 +53,17 @@ class TestDeterminism:
         gains = [generate_channels(Seed(master=5, trial=t), cfg).gains for t in (0, 1, 0)]
         assert gains[0] == gains[2] and gains[0] != gains[1]
 
+    def test_shared_streams_equal_independent_draws(self):
+        # user streams nest across counts, so one store serves a whole
+        # user-count sweep: each (trial, user) stream is drawn once
+        streams = {}
+        for trial in range(3):
+            seed = Seed(master=77, trial=trial)
+            for n in (3, 8, 1, 5, 2, 7, 4, 6):
+                shared = generate_channels(seed, many_user_config(n), streams=streams)
+                assert shared == generate_channels(seed, many_user_config(n))
+        assert len(streams) == 3 * 8
+
 
 class TestGainFormula:
     def test_zero_distance_unit_fading(self):

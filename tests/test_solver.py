@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -162,6 +165,29 @@ class TestBisection:
         viol = constraint_violations(res.optimal_delay + 1e-4, res.allocation, realization, cfg)
         assert viol.max() <= 1e-8
 
+    def test_eps_below_float_spacing_ends(self, s1):
+        # no float lies between the bracket's ends long before they are
+        # 1e-300 apart; the halving stops there. A child process runs it so
+        # a loop that never ends fails on the timeout instead of hanging
+        code = (
+            "from nomamec import Seed, bss_solve, generate_channels, reorder_users\n"
+            "from conftest import s1_config\n"
+            "real = generate_channels(Seed(master=0), s1_config())\n"
+            "res = bss_solve(real, reorder_users(s1_config(), real), eps=1e-300)\n"
+            "print(res.iterations, repr(res.optimal_delay))\n"
+        )
+        here = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.join(os.path.dirname(here), "src")
+        path = os.pathsep.join(filter(None, [src, here, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        steps, delay = proc.stdout.split()
+        assert int(steps) < 1100
+        realization, cfg = s1
+        assert float(delay) == pytest.approx(bss_solve(realization, cfg, eps=1e-12).optimal_delay,
+                                             abs=1e-12)
+
     def test_degenerate_small_bandwidth_stays_local(self):
         # 1 Hz of bandwidth: offloading is useless, the optimum hugs the
         # fully-local time and the shares collapse toward zero
@@ -205,8 +231,12 @@ class TestBisection:
         realization, cfg = s1
         server = ServerSpec(cycles_per_bit=1e3, cpu_freq=1e10, kappa=1e-28)
         for run in (cfg, replace(cfg, server=server)):
-            assert bss_solve(realization, run).converged
-        assert len(oracle_reports) == 2 * 16
+            res = bss_solve(realization, run)
+            assert res.converged
+            # the halvings are verdict-only; the reports are the bracket
+            # top and the certification
+            assert res.iterations == 14
+        assert len(oracle_reports) == 2 * 2
         assert not any(rep.uncertain for rep in oracle_reports)
 
     def test_deterministic_repeat(self, s1):
