@@ -20,7 +20,10 @@ from .model import (
     UsageError,
     sum_rate,
 )
-from .solver import InfeasibleScenarioError, bss_solve, check_feasibility, init_bounds
+from .solver import InfeasibleScenarioError, bss_solve, init_bounds
+# unused here since bss_solve decides each full-offload bracket top; kept
+# because bench/tracing.py patches nomamec.baselines.check_feasibility
+from .solver import check_feasibility  # noqa: F401
 
 __all__ = [
     "SchemeResult",
@@ -126,21 +129,24 @@ def solve_noma_full_offload(
     """Every task fully offloaded; only powers are optimized.
 
     The local-compute delay bound is meaningless here, so the bracket
-    top grows geometrically until the pinned-ratio problem is feasible.
+    top doubles until bss_solve finds the pinned-ratio problem feasible
+    there.
     """
     ones = (1.0,) * config.num_users
     _, hi = init_bounds(config)
     for _ in range(60):
-        rep = check_feasibility(hi, gains, config, eps_feas, fixed_betas=ones)
-        if rep.feasible:
+        try:
+            res = bss_solve(
+                gains, config, eps=eps, eps_feas=eps_feas, fixed_betas=ones, alpha_max=hi
+            )
             break
-        hi *= 2.0
+        except InfeasibleScenarioError:
+            hi *= 2.0  # bss_solve found its bracket top infeasible
     else:
         raise InfeasibleScenarioError(
             "full offloading infeasible at any delay: the energy budget cannot "
             "carry the whole task through the channel"
         )
-    res = bss_solve(gains, config, eps=eps, eps_feas=eps_feas, fixed_betas=ones, alpha_max=hi)
     return _as_result(
         "noma-full", res.optimal_delay, res.allocation, gains, config, p_circuit,
         res.iterations,

@@ -103,6 +103,17 @@ def _run_scheme(scheme: str, gains, config: ScenarioConfig, eps, eps_feas, p_cir
     raise UsageError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
 
 
+def _check_tolerances(eps: float, eps_feas: float) -> None:
+    """Reject a tolerance that is not finite and > 0 before any solve.
+
+    The closed form and the local scheme use neither, so the solver's own
+    checks would not see it.
+    """
+    for name, value in (("eps", eps), ("eps_feas", eps_feas)):
+        if not 0.0 < value < math.inf:
+            raise UsageError(f"{name} must be finite and > 0, got {value}")
+
+
 def run_sweep(
     loaded: LoadedScenario,
     axis: str,
@@ -134,6 +145,7 @@ def run_sweep(
         if s not in SCHEMES:
             raise UsageError(f"unknown scheme {s!r}; choose from {SCHEMES}")
     check_circuit_power(p_circuit)
+    _check_tolerances(eps, eps_feas)
     points = [_apply_axis(loaded.config, axis, value) for value in values]
     os.makedirs(out_dir, exist_ok=True)
 
@@ -210,6 +222,7 @@ def run_sweep(
 def _cmd_solve(args) -> int:
     if args.trial < 0:
         raise UsageError(f"--trial must be >= 0, got {args.trial}")
+    _check_tolerances(args.eps, args.eps_feas)
     loaded = load_config(args.config)
     config = loaded.config
     seed = Seed(master=loaded.master_seed, trial=args.trial)

@@ -10,8 +10,10 @@ halving needs only the yes/no verdict and builds no allocation;
 check_feasibility builds the witness at the bracket top and at the
 certification delay.
 
-Every oracle call is decided exactly, with or without an edge server, so
-the reported delay is globally optimal within eps. Without a server the
+Every oracle call is decided without an iterative optimizer, with or
+without an edge server, by the one verdict rule at the end of this
+docstring, so the reported delay is globally optimal within eps, up to
+that rule's eps_feas band. Without a server the
 feasibility problem at a fixed trial delay is convex (the maximum
 normalized constraint violation is a convex function of (beta, p)). With
 a finite-capacity server the rate residual (alpha - c_s sum_j beta_j L_j)
@@ -51,31 +53,11 @@ point and p_full = (2^(L/(alpha B)) - 1) / g the power at which beta(p)
 reaches 1. Clipping that point to [p_lo, p_max] gives the minimum-energy
 admissible allocation.
 
-Both exact verdicts compare the witness's max normalized residual with
-eps_feas. check_feasibility runs the frontier pass unrelaxed first and
-takes the witness from that pass when it succeeds. Otherwise it relaxes
-every bound the way the normalized residuals do (share >= 1 - (alpha +
-eps T_max) / T_j, budget e_max (1 + eps), rate offset eps P_m with P_m
-the prefix task bits) by eps = eps_feas less a 1e-4 share, which keeps
-rounding in the witness's residuals from pushing it past eps_feas. Its
-verdict is thus the minimax one (is the least max residual <= eps_feas?)
-except in that thin top slice of the band. A bisection halving without a
-server takes the relaxed pass alone: the relaxed bounds contain the
-unrelaxed ones, so an unrelaxed success implies a relaxed one, and the
-verdict is the same from one pass instead of up to two. The single-user
-witness is the minimum-energy point, not the minimax one, so inside the
-whole (0, eps_feas] band that verdict is stricter: it may say infeasible
-where a point violating every constraint by less than eps_feas exists.
-
 Pinned ratios (``fixed_betas``, as in full offloading), with or without a
 server, are decided in O(M) scalar steps. Each power sits at its energy
 cap clip((e_max - E_j (1 - beta_j)) / alpha, 0, p_max), and with the
 ratios fixed the server time c sum_j beta_j L_j is a constant, so every
-rate constraint sees the window alpha - c sum_j beta_j L_j. The verdict
-is the max normalized residual at those powers against eps_feas; like the
-single-user one it is stricter than the minimax verdict inside the
-(0, eps_feas] band, where a budget relaxed by the band would allow more
-power.
+rate constraint sees the window alpha - c sum_j beta_j L_j.
 
 Free ratios with a server, any number of users: a fixed point of
 frontier passes. Write W for the total offloaded bits sum_j beta_j L_j
@@ -97,11 +79,18 @@ next window is not positive, a pass fails, or W stops rising. Every pass
 that continues the loop raises W strictly while keeping it below
 alpha / c_s, so the loop ends after finitely many passes, though near
 the optimum it may take a thousand or more of them (each O(M^2) scalar
-steps). As without a server, the loop runs unrelaxed and then, unless
-that ends on a feasible witness, relaxed; bisection halvings keep that
-order here, since a relaxed loop has to end about 1e4 times closer to
-the fixed point before its witness's residual clears eps_feas. With no
-server c_s = 0 and the loop is the single pass above.
+steps). With no server c_s = 0 and the loop is the single pass above.
+
+One verdict rule decides every call. Each branch builds its witness on
+the exact bounds, and the delay is feasible when that witness's max
+normalized residual is <= eps_feas. If the exact problem is feasible,
+the witness meets every constraint to rounding, so the verdict is
+feasible; a feasible verdict's witness violates no constraint by more
+than eps_feas. Inside the (0, eps_feas] band the verdict may go either
+way: it is not the minimax verdict (is the least max residual
+<= eps_feas?), which no branch computes. A bisection halving gets the
+same verdict as check_feasibility, without building the witness's
+Allocation.
 """
 
 from __future__ import annotations
@@ -135,7 +124,6 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _NEWTON_MAX = 60
-_RELAX_MARGIN = 1e-4
 
 
 class InfeasibleScenarioError(RuntimeError):
@@ -147,12 +135,12 @@ class FeasibilityReport:
     """Verdict of one oracle call.
 
     residual is the max normalized violation at the witness, and the call
-    is feasible when it is <= eps_feas. For the single-user branch it is
-    the violation at the minimum-energy point, and for pinned ratios the
-    violation with every power at its energy cap. For the frontier pass a
-    feasible witness is the least-bits end of the last frontier; an
-    infeasible one is the point that comes closest to meeting the first
-    prefix rate constraint the relaxed pass cannot meet (earlier users on
+    is feasible when it is <= eps_feas, the one rule of every branch. For
+    the single-user branch the witness is the minimum-energy point, and
+    for pinned ratios the point with every power at its energy cap. For
+    the frontier pass a feasible witness is the least-bits end of the last
+    frontier; an infeasible one is the point that comes closest to meeting
+    the first prefix rate constraint the pass cannot meet (earlier users on
     the frontier, later users at their least share, powers at the energy
     cap), and its residual, > eps_feas, bounds the minimax value from
     above. With a server the residual is taken at the witness's own rate
@@ -232,10 +220,10 @@ def constraint_violations(
 
     Order: rate prefixes (M), local times (M), energy budgets (M), then
     box bounds beta >= 0, beta <= 1, p >= 0, p <= p_max (M each).
-    A residual <= 0 means the constraint holds.
+    A residual <= 0 means the constraint holds. alpha must be finite
+    and > 0, else UsageError.
     """
-    if alpha <= 0:
-        raise UsageError("alpha must be > 0")
+    _check_delay(alpha)
     prob = _Problem(gains, config)
     beta = np.asarray(alloc.betas, dtype=float)
     p = np.asarray(alloc.powers, dtype=float)
@@ -248,9 +236,9 @@ def max_violation(alpha: float, alloc: Allocation, gains, config: ScenarioConfig
     """Max normalized violation of every constraint, box bounds included.
 
     The max of constraint_violations, to rounding, in scalar arithmetic.
+    alpha must be finite and > 0, else UsageError.
     """
-    if alpha <= 0:
-        raise UsageError("alpha must be > 0")
+    _check_delay(alpha)
     g = _gain_tuple(gains, len(config.users))
     betas, powers = alloc.betas, alloc.powers
     if len(betas) != len(g):
@@ -260,6 +248,11 @@ def max_violation(alpha: float, alloc: Allocation, gains, config: ScenarioConfig
     p_max = config.p_max
     box = max(max(-b, b - 1.0, -p / p_max, p / p_max - 1.0) for b, p in zip(betas, powers))
     return max(_max_residual(alpha, window, g, specs, config, betas, powers), box)
+
+
+def _check_delay(alpha: float) -> None:
+    if not 0.0 < alpha < math.inf:
+        raise UsageError(f"alpha must be finite and > 0, got {alpha!r}")
 
 
 def _pow2m1(x: float) -> float:
@@ -353,17 +346,17 @@ def _exact_single_user(alpha: float, g: float, config: ScenarioConfig) -> tuple:
     return (beta,), (p,), residual
 
 
-def _root(c: float, r: float, u: float, s: float, slope: float, bound: float) -> float:
+def _root(c: float, u: float, s: float, slope: float, bound: float) -> float:
     """Newton along one frontier segment for the zero of K, from its start, where K < 0.
 
     The segment starts at prefix bits u and SNR s and gains slope SNR per
-    bit; K(t) = c ln(1 + s + slope t) - (u + t) + r is concave, so every
+    bit; K(t) = c ln(1 + s + slope t) - (u + t) is concave, so every
     step stays short of the root and t rises monotonically toward
     ``bound``, where K >= 0.
     """
     t = 0.0
     for _ in range(_NEWTON_MAX):
-        k = c * math.log1p(s + slope * t) - (u + t) + r
+        k = c * math.log1p(s + slope * t) - (u + t)
         rise = c * slope / (1.0 + s + slope * t) - 1.0
         if k >= 0.0 or rise <= 0.0:
             break
@@ -374,8 +367,8 @@ def _root(c: float, r: float, u: float, s: float, slope: float, bound: float) ->
     return t
 
 
-def _frontier_pass(alpha: float, window: float, g, specs, config: ScenarioConfig, eps: float):
-    """One pass over the users with every bound relaxed by eps.
+def _frontier_pass(alpha: float, window: float, g, specs, config: ScenarioConfig):
+    """One pass over the users.
 
     specs holds each user's (task bits, local time, local energy). The
     rate constraints get ``window`` (alpha less the server time, or alpha
@@ -385,28 +378,24 @@ def _frontier_pass(alpha: float, window: float, g, specs, config: ScenarioConfig
     point that comes closest to meeting the first prefix it cannot meet,
     with the later users at their least offload.
     """
-    c = window * config.bandwidth / _LN2  # prefix m needs c ln(1 + S) >= U - eps P_m
-    t_max = max(t_loc for _, t_loc, _ in specs)
-    budget = config.e_max * (1.0 + eps)
+    c = window * config.bandwidth / _LN2  # prefix m needs c ln(1 + S) >= U
+    e_max, p_max = config.e_max, config.p_max
     # least share (the local-time bound, and a budget that leaves p >= 0)
     # and the power at the energy cap there
     floors = [
-        max(0.0, 1.0 - (alpha + eps * t_max) / t_loc, 1.0 - budget / e_loc)
-        for _, t_loc, e_loc in specs
+        max(0.0, 1.0 - alpha / t_loc, 1.0 - e_max / e_loc) for _, t_loc, e_loc in specs
     ]
     p_floor = [
-        min(config.p_max, max(0.0, (budget - e_loc * (1.0 - lo)) / alpha))
+        min(p_max, max(0.0, (e_max - e_loc * (1.0 - lo)) / alpha))
         for lo, (_, _, e_loc) in zip(floors, specs)
     ]
     extra = [0.0] * len(specs)  # bits offloaded beyond the floor, by owner
     segs: list[list] = []  # [slope, owner, length], slope descending, ties by owner
-    u0 = s0 = prefix = 0.0
+    u0 = s0 = 0.0
     for m, ((size, _, energy), gain, lo) in enumerate(zip(specs, g, floors)):
-        knee = min(1.0, max(lo, 1.0 - (budget - alpha * config.p_max) / energy))
+        knee = min(1.0, max(lo, 1.0 - (e_max - alpha * p_max) / energy))
         u0 += lo * size
         s0 += gain * p_floor[m]
-        prefix += size
-        r = eps * prefix
         # user m's SNR at its energy cap: rising until the power reaches
         # p_max at the knee, then flat
         for piece in ((gain * energy / (alpha * size), m, (knee - lo) * size),
@@ -425,7 +414,7 @@ def _frontier_pass(alpha: float, window: float, g, specs, config: ScenarioConfig
 
         def k_at(i: int, t: float) -> float:
             slope = segs[i][0] if i < n else 0.0
-            return c * math.log1p(ss[i] + slope * t) - (us[i] + t) + r
+            return c * math.log1p(ss[i] + slope * t) - (us[i] + t)
 
         # K is concave along the frontier: find its peak (segment, offset)
         top, t_top = n, 0.0
@@ -446,7 +435,7 @@ def _frontier_pass(alpha: float, window: float, g, specs, config: ScenarioConfig
                     left += 1
                 if left < n:
                     bound = t_top if left == top else segs[left][2]
-                    t_left = _root(c, r, us[left], ss[left], segs[left][0], bound)
+                    t_left = _root(c, us[left], ss[left], segs[left][0], bound)
         for slope, owner, length in segs[:left]:
             extra[owner] += length
         u0, s0 = us[left], ss[left]
@@ -461,7 +450,7 @@ def _frontier_pass(alpha: float, window: float, g, specs, config: ScenarioConfig
     betas, powers = [], []
     for (size, _, energy), lo, p_lo, more in zip(specs, floors, p_floor, extra):
         betas.append(min(1.0, lo + more / size))
-        powers.append(min(config.p_max, p_lo + energy * more / (alpha * size)))
+        powers.append(min(p_max, p_lo + energy * more / (alpha * size)))
     return feasible, betas, powers
 
 
@@ -503,10 +492,12 @@ class _Oracle:
     """One scenario's oracle inputs, checked and precomputed once.
 
     The gains (one finite positive value per user) and the pinned ratios
-    (one in [0, 1] per user) are checked here, else UsageError. report()
-    decides a delay and builds its witness; holds() returns only the
-    verdict, which is all a bisection halving needs, so bss_solve builds
-    one _Oracle per solve and no allocation per halving.
+    (one in [0, 1] per user) are checked here, else UsageError. Both
+    report() and holds() run the same branch once and apply the one
+    verdict rule of the module docstring; report() also builds the
+    witness, while holds() returns only the verdict, which is all a
+    bisection halving needs, so bss_solve builds one _Oracle per solve
+    and no allocation per halving.
     """
 
     def __init__(self, gains, config: ScenarioConfig, fixed_betas=None):
@@ -518,65 +509,40 @@ class _Oracle:
         self.coef = _server_coef(config)
 
     def report(self, alpha: float, eps_feas: float) -> FeasibilityReport:
-        """Verdict and witness at delay alpha; free ratios prefer the unrelaxed witness."""
+        """Verdict and witness at delay alpha."""
         if alpha <= 0.0:
             n = len(self.g)
             betas = (0.0,) * n if self.pinned is None else self.pinned
             return FeasibilityReport(False, Allocation(betas, (0.0,) * n), math.inf, 0)
-        betas, powers, residual = self._decide(alpha, eps_feas, unrelaxed_first=True)
+        betas, powers, residual = self._decide(alpha, eps_feas)
         witness = Allocation(betas=tuple(betas), powers=tuple(powers))
         return FeasibilityReport(residual <= eps_feas, witness, residual, 0)
 
     def holds(self, alpha: float, eps_feas: float) -> bool:
-        """report(alpha, eps_feas).feasible for alpha > 0, without building the report.
+        """report(alpha, eps_feas).feasible for alpha > 0, without building the report."""
+        return self._decide(alpha, eps_feas)[2] <= eps_feas
 
-        Without a server, free ratios take the relaxed pass alone. Its
-        bounds contain the unrelaxed ones, so an unrelaxed success implies
-        a relaxed one, and report() falls back to the relaxed pass whenever
-        the unrelaxed one fails: the verdict is the same, from one pass
-        instead of up to two. With a server the unrelaxed run still goes
-        first: a relaxed witness has to come about 1e4 times closer to the
-        fixed point before its residual at its own window clears
-        eps_feas, so on feasible delays the relaxed loop takes about twice
-        the passes, more than skipping the unrelaxed loop saves on
-        infeasible ones.
-        """
-        return self._decide(alpha, eps_feas, self.coef > 0.0)[2] <= eps_feas
-
-    def _decide(self, alpha: float, eps_feas: float, unrelaxed_first: bool) -> tuple:
-        """(betas, powers, residual) at delay alpha > 0.
-
-        With ``unrelaxed_first`` free ratios run unrelaxed first and keep
-        that witness when it is feasible; otherwise they run relaxed only.
-        """
+    def _decide(self, alpha: float, eps_feas: float) -> tuple:
+        """(betas, powers, residual) of the branch's witness at delay alpha > 0."""
         g, config = self.g, self.config
         if self.pinned is not None:
             return _exact_pinned(alpha, g, self.specs, config, self.pinned)
         if len(g) == 1 and config.server is None:
             return _exact_single_user(alpha, g[0], config)
-        if unrelaxed_first:
-            found = self._free_run(alpha, 0.0, eps_feas)
-            if found[2] <= eps_feas:
-                return found
-        # the relaxed witness sits on relaxed bounds; the margin keeps the few
-        # ulp its residuals round by from pushing it past eps_feas
-        return self._free_run(alpha, eps_feas * (1.0 - _RELAX_MARGIN), eps_feas)
+        return self._free_run(alpha, eps_feas)
 
-    def _free_run(self, alpha: float, eps: float, eps_feas: float) -> tuple:
-        """Free ratios: frontier passes at the windows alpha - c_s W, bounds relaxed by eps.
+    def _free_run(self, alpha: float, eps_feas: float) -> tuple:
+        """Free ratios: frontier passes at the windows alpha - c_s W.
 
         W <- U_min from W = 0 (one pass without a server) until the
         witness's residual at its own window is <= eps_feas, a pass fails,
         W stops rising or the next window is not positive. Returns
-        (betas, powers, residual); an unrelaxed pass that fails returns at
-        once with residual inf.
+        (betas, powers, residual).
         """
         g, specs, config, coef = self.g, self.specs, self.config, self.coef
         total, window = 0.0, alpha
         while True:
-            feasible, betas, powers = _frontier_pass(alpha, window, g, specs, config, eps)
-            if not (feasible or eps):
-                return betas, powers, math.inf
+            feasible, betas, powers = _frontier_pass(alpha, window, g, specs, config)
             bits = coef and _offloaded_bits(specs, betas)  # 0, one pass, without a server
             own = alpha - coef * bits
             residual = _max_residual(alpha, own, g, specs, config, betas, powers)
@@ -594,16 +560,19 @@ def check_feasibility(
 ) -> FeasibilityReport:
     """Decide whether any allocation meets every constraint at delay alpha.
 
-    Returns a report whose witness attains the reported max violation.
-    Every verdict is exact and computed in scalar arithmetic. With
+    Returns a report whose witness attains the reported max violation;
+    the call is feasible when that violation is <= eps_feas. Every
+    witness is built on the exact bounds in scalar arithmetic. With
     ``fixed_betas`` (one ratio in [0, 1] per user, else UsageError) the
     powers at their energy caps decide it. Free ratios are decided in
     closed form for one user without a server, and otherwise by the
     frontier pass, iterated to a fixed point in the total offloaded bits
-    when a server is configured; the unrelaxed run goes first, so a
-    feasible call returns the unrelaxed witness when there is one. Gains
-    must be one finite positive value per user, else UsageError.
+    when a server is configured. Gains must be one finite positive value
+    per user and alpha must be finite, else UsageError; alpha <= 0 is
+    infeasible.
     """
+    if not math.isfinite(alpha):
+        raise UsageError(f"alpha must be finite, got {alpha!r}")
     _check_eps_feas(eps_feas)
     return _Oracle(gains, config, fixed_betas).report(alpha, eps_feas)
 
@@ -618,17 +587,18 @@ def bss_solve(
 ) -> SolveResult:
     """Least common delay by bisection on the feasibility oracle.
 
-    Every oracle verdict is exact, with or without a server, so the
-    delay is globally optimal within eps (see the module docstring).
+    Every oracle call, with or without a server, is decided by the one
+    verdict rule of the module docstring, so the delay is globally
+    optimal within eps, up to the (0, eps_feas] band of that rule.
 
     Performs ceil(log2(bracket / eps)) halvings, fewer only when no float
     lies strictly between the bracket's ends. The halvings are
-    verdict-only: no allocation is built, and without a server free
-    ratios are decided by the relaxed pass alone. check_feasibility
-    decides the bracket top and certifies the returned allocation with
-    one extra call at the reported delay plus eps, so the stored residual
-    is meaningful at that level; should that call fail, the witness is
-    rebuilt at the bracket's feasible end.
+    verdict-only: no allocation is built. check_feasibility decides the
+    bracket top and certifies the returned allocation with one extra call
+    at the reported delay plus eps (or at the bracket's feasible end, if
+    that is later, as when eps is below the float spacing), so the stored
+    residual is meaningful at that level; should that call fail, the
+    witness is rebuilt at the bracket's feasible end.
 
     Raises InfeasibleScenarioError when even the upper bound (every task
     computed locally, or the caller-supplied bracket top) is infeasible.
@@ -659,14 +629,17 @@ def bss_solve(
             lo = mid
     alpha_star = 0.5 * (lo + hi)
 
-    cert = check_feasibility(alpha_star + eps, gains, config, eps_feas, fixed_betas=fixed_betas)
+    # alpha* + eps rounds to alpha* when eps is below the bracket's float
+    # spacing, and alpha* may be its infeasible end; hi is always feasible
+    at = max(alpha_star + eps, hi)
+    cert = check_feasibility(at, gains, config, eps_feas, fixed_betas=fixed_betas)
     if cert.feasible:
         witness = cert.witness
         residual = cert.residual
         converged = True
     else:
         witness = check_feasibility(hi, gains, config, eps_feas, fixed_betas=fixed_betas).witness
-        residual = max_violation(alpha_star + eps, witness, gains, config)
+        residual = max_violation(at, witness, gains, config)
         converged = residual <= eps_feas
     return SolveResult(
         optimal_delay=alpha_star,

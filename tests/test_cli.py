@@ -115,6 +115,22 @@ class TestBadNumbers:
         assert main(sweep) == 2
         assert "eps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ("solve", "--method", "auto"),
+        ("solve", "--method", "closed-form"),
+        ("sweep", "--axis", "p_max", "--values", "0.01", "--schemes", "local"),
+    ])
+    @pytest.mark.parametrize("flag", ["--eps", "--eps-feas"])
+    def test_unused_non_finite_tolerance_exit_2(self, tmp_path, capsys, flag, command):
+        # the closed form and the local scheme use neither tolerance:
+        # --eps inf used to exit 0 and write eps: inf to the manifest
+        path = write_config(tmp_path)
+        out = tmp_path / "out"
+        argv = [command[0], path, *command[1:], flag, "inf", "--out", str(out)]
+        assert main(argv) == 2
+        assert "eps" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_distance_is_config_error(self, tmp_path):
         users = [{"task_bits": 1.6e6, "cycles_per_bit": 1e3, "cpu_freq_hz": 1e9,
                   "kappa": 1e-27, "distance_m": -5.0}]

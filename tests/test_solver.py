@@ -80,6 +80,16 @@ class TestConstraintViolations:
         with pytest.raises(UsageError):
             constraint_violations(0.0, alloc, (1e4, 1e5), cfg)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_alpha_must_be_finite(self, alpha):
+        # max_violation used to return 0.0 at a NaN delay
+        cfg = light_users_config()
+        alloc = Allocation(betas=(0.0, 0.0), powers=(0.0, 0.0))
+        with pytest.raises(UsageError, match="alpha"):
+            constraint_violations(alpha, alloc, (1e4, 1e5), cfg)
+        with pytest.raises(UsageError, match="alpha"):
+            max_violation(alpha, alloc, (1e4, 1e5), cfg)
+
     def test_below_optimum_every_allocation_violated(self, s1):
         realization, cfg = s1
         oracle = grid_oracle_two_user(realization, cfg)
@@ -114,6 +124,18 @@ class TestCheckFeasibility:
         assert rep.feasible and rep.residual <= 1e-8
         zero = Allocation(betas=(0.0, 0.0), powers=(0.0, 0.0))
         assert max_violation(1.6, zero, gains, cfg) <= 0.0
+
+    @pytest.mark.parametrize("server", [None, ServerSpec(1e3, 1e10, 1e-28)])
+    @pytest.mark.parametrize("fixed_betas", [None, (1.0, 1.0)])
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_rejected(self, s1, alpha, fixed_betas, server):
+        # NaN and inf used to come back feasible with residual -inf
+        realization, cfg = s1
+        cfg = replace(cfg, server=server)
+        with pytest.raises(UsageError, match="alpha"):
+            check_feasibility(alpha, realization, cfg, fixed_betas=fixed_betas)
+        with pytest.raises(UsageError, match="alpha"):
+            bss_solve(realization, cfg, fixed_betas=fixed_betas, alpha_max=alpha)
 
     def test_zero_alpha_infeasible(self):
         cfg = light_users_config()
@@ -173,8 +195,9 @@ class TestBisection:
             "from nomamec import Seed, bss_solve, generate_channels, reorder_users\n"
             "from conftest import s1_config\n"
             "real = generate_channels(Seed(master=0), s1_config())\n"
-            "res = bss_solve(real, reorder_users(s1_config(), real), eps=1e-300)\n"
-            "print(res.iterations, repr(res.optimal_delay))\n"
+            "for eps in (1e-300, 1e-20):\n"
+            "    res = bss_solve(real, reorder_users(s1_config(), real), eps=eps)\n"
+            "    print(res.iterations, repr(res.optimal_delay), res.converged)\n"
         )
         here = os.path.dirname(os.path.abspath(__file__))
         src = os.path.join(os.path.dirname(here), "src")
@@ -182,11 +205,17 @@ class TestBisection:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=path), timeout=60)
         assert proc.returncode == 0, proc.stderr
-        steps, delay = proc.stdout.split()
-        assert int(steps) < 1100
         realization, cfg = s1
-        assert float(delay) == pytest.approx(bss_solve(realization, cfg, eps=1e-12).optimal_delay,
-                                             abs=1e-12)
+        reference = bss_solve(realization, cfg, eps=1e-12).optimal_delay
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 2
+        for line in lines:
+            steps, delay, converged = line.split()
+            assert int(steps) < 1100
+            assert float(delay) == pytest.approx(reference, abs=1e-12)
+            # certified at the bracket's feasible end: alpha* + eps rounds
+            # to alpha*, which may be the infeasible end
+            assert converged == "True"
 
     def test_degenerate_small_bandwidth_stays_local(self):
         # 1 Hz of bandwidth: offloading is useless, the optimum hugs the

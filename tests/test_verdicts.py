@@ -1,8 +1,8 @@
-"""Bisection halvings build no witness and, without a server, decide on
-the relaxed pass alone.
+"""Bisection halvings build no witness.
 
-Their verdicts must equal check_feasibility's, which runs unrelaxed
-first, most of all near the optimum, where the two runs could part.
+Their verdicts must equal check_feasibility's, most of all near the
+optimum: both run the branch once on the exact bounds and apply the one
+verdict rule (is the witness's max residual <= eps_feas?).
 """
 
 from dataclasses import replace
