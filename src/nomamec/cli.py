@@ -8,6 +8,7 @@ run. Floats are printed with 17 significant digits and LF line endings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -58,16 +59,22 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: str, header: str, rows: list[tuple]) -> None:
+    lines = [header, *(",".join(_fmt(v) for v in row) for row in rows)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def _write_manifest(path: str, manifest: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def _make_out_dir(out_dir: str) -> None:
+    """Create the output directory before any solve; a path that cannot be one is a UsageError."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot use {out_dir!r} as the output directory: {exc}") from None
 
 
 def _apply_axis(config: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
@@ -147,7 +154,7 @@ def run_sweep(
     check_circuit_power(p_circuit)
     _check_tolerances(eps, eps_feas)
     points = [_apply_axis(loaded.config, axis, value) for value in values]
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
 
     rows = []
     streams: dict = {}  # each (trial, point, user) draw, made once per sweep
@@ -240,6 +247,8 @@ def _cmd_solve(args) -> int:
     # the closed form covers two users without a server; auto sends
     # everything else straight to bisection
     closed = m == 2 and cfg_run.server is None
+    out_dir = args.out or os.environ.get(_OUT_ENV, ".")
+    _make_out_dir(out_dir)
 
     case_label = "-"
     try:
@@ -286,8 +295,6 @@ def _cmd_solve(args) -> int:
             f"{_fmt(alloc.betas[i]):<23s} {_fmt(alloc.powers[i])}"
         )
 
-    out_dir = args.out or os.environ.get(_OUT_ENV, ".")
-    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "solve.csv")
     rows = [
         (method, delay, iterations, case_label, i + 1, alloc.betas[i], alloc.powers[i])
@@ -438,7 +445,13 @@ def _cmd_verify(args) -> int:
     return 0 if failed == 0 else 1
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first main call and kept for the process.
+
+    The subcommands bind the _cmd_* functions, which look up the library
+    functions they call on this module at call time.
+    """
     parser = argparse.ArgumentParser(
         prog="nomamec",
         description="Delay-optimal NOMA-MEC task partitioning and power control",
@@ -475,8 +488,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_verify.add_argument("--gains", default=None,
                           help="comma-separated gain override (testing hook)")
     p_verify.set_defaults(func=_cmd_verify)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, UsageError) as exc:

@@ -100,9 +100,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-# no solver path calls SLSQP; bench/tracing.py and the tests' SLSQP guards
-# patch this name (ROADMAP item 2 retires the hook)
-from scipy.optimize import minimize
 
 from .model import (
     Allocation,
@@ -124,6 +121,18 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _NEWTON_MAX = 60
+
+
+def __getattr__(name: str):
+    # no solver path calls SLSQP; bench/tracing.py and the tests' SLSQP
+    # guards patch solver.minimize, so it resolves on first access and
+    # importing the package does not load scipy.optimize (ROADMAP item 2
+    # retires the hook)
+    if name == "minimize":
+        from scipy.optimize import minimize
+
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class InfeasibleScenarioError(RuntimeError):
@@ -601,7 +610,8 @@ def bss_solve(
     witness is rebuilt at the bracket's feasible end.
 
     Raises InfeasibleScenarioError when even the upper bound (every task
-    computed locally, or the caller-supplied bracket top) is infeasible.
+    computed locally, or the caller-supplied bracket top) is infeasible,
+    and UsageError when alpha_max is given and is not finite and > 0.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise UsageError("eps must be finite and > 0")
@@ -609,6 +619,8 @@ def bss_solve(
     oracle = _Oracle(gains, config, fixed_betas)
     lo, hi = init_bounds(config)
     if alpha_max is not None:
+        if not 0.0 < alpha_max < math.inf:
+            raise UsageError(f"alpha_max must be finite and > 0, got {alpha_max}")
         hi = alpha_max
     top = check_feasibility(hi, gains, config, eps_feas, fixed_betas=fixed_betas)
     if not top.feasible:

@@ -421,12 +421,80 @@ class TestVerifyCommand:
         assert "feasibility monotone around optimum: ok" in out
 
 
-def test_python_dash_m_runs_the_cli():
-    # a checkout without the console script runs the same parser
+class TestOutputDirectory:
+    @pytest.mark.parametrize("command", [
+        ("solve", "--method", "auto"),
+        ("solve", "--method", "bss"),
+        ("sweep", "--axis", "p_max", "--values", "0.01"),
+    ])
+    def test_out_naming_a_file_exit_2_before_solving(self, tmp_path, capsys, monkeypatch,
+                                                     command):
+        # os.makedirs used to end both commands in a FileExistsError
+        # traceback, solve only after solving
+        from nomamec import cli
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solved before the output directory was checked")
+
+        for name in ("solve_two_user", "bss_solve", "solve_noma_partial",
+                     "solve_noma_full_offload"):
+            monkeypatch.setattr(cli, name, forbidden)
+        path = write_config(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        rc = main([command[0], path, *command[1:], "--out", str(taken)])
+        assert rc == 2
+        assert "taken" in capsys.readouterr().err
+        assert taken.read_text() == "keep"
+
+
+def test_repeated_main_calls_in_one_process(tmp_path, capsys):
+    # main builds its parser once per process; no call may leak into the next
+    from nomamec import cli
+
+    path = write_config(tmp_path)
+
+    def solve() -> bytes:
+        assert main(["solve", path, "--out", str(tmp_path)]) == 0
+        return (tmp_path / "solve.csv").read_bytes()
+
+    first = solve()
+    with pytest.raises(SystemExit) as err:
+        main(["solve", path, "--method", "nope", "--out", str(tmp_path)])
+    assert err.value.code == 2
+    assert solve() == first
+    for _ in range(2):
+        with pytest.raises(SystemExit) as err:
+            main(["--version"])
+        assert err.value.code == 0
+    capsys.readouterr()
+    assert cli._parser.cache_info().currsize == 1
+
+
+def _src_env() -> dict:
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_cli_does_not_import_scipy_optimize(tmp_path):
+    # only bench/tracing.py and the tests resolve solver.minimize
+    path = write_config(tmp_path)
+    code = (
+        "import sys, nomamec, nomamec.cli\n"
+        f"assert nomamec.cli.main(['solve', {path!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+        "heavy = ('scipy.optimize', 'scipy.linalg')\n"
+        "print(sorted(m for m in sys.modules if m.startswith(heavy)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=_src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_python_dash_m_runs_the_cli():
+    # a checkout without the console script runs the same parser
     proc = subprocess.run([sys.executable, "-m", "nomamec", "--help"],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=_src_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: nomamec") and "solve" in proc.stdout

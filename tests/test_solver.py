@@ -137,6 +137,13 @@ class TestCheckFeasibility:
         with pytest.raises(UsageError, match="alpha"):
             bss_solve(realization, cfg, fixed_betas=fixed_betas, alpha_max=alpha)
 
+    @pytest.mark.parametrize("alpha_max", [0.0, -1.0])
+    def test_non_positive_alpha_max_rejected(self, s1, alpha_max):
+        # a bracket top <= 0 is a bad argument, not a too-small energy budget
+        realization, cfg = s1
+        with pytest.raises(UsageError, match="alpha_max"):
+            bss_solve(realization, cfg, alpha_max=alpha_max)
+
     def test_zero_alpha_infeasible(self):
         cfg = light_users_config()
         rep = check_feasibility(0.0, ChannelRealization(gains=(1e4, 1e5)), cfg)
