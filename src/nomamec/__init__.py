@@ -22,7 +22,6 @@ from .closed_form import (
     p1_water,
     p2_water,
     solve_two_user,
-    solve_two_user_limited,
 )
 from .configio import ConfigError, LoadedScenario, load_config
 from .lambertw import lambert_w0, lambert_wm1
@@ -59,7 +58,6 @@ from .solver import (
     SolveResult,
     bss_solve,
     check_feasibility,
-    constraint_violations,
     init_bounds,
     max_violation,
 )
@@ -89,7 +87,6 @@ __all__ = [
     "aggregated_offload_time",
     "bss_solve",
     "check_feasibility",
-    "constraint_violations",
     "dbm_per_hz_to_watts",
     "full_local_delay",
     "generate_channels",
@@ -114,7 +111,6 @@ __all__ = [
     "solve_noma_partial",
     "solve_ofdma_partial",
     "solve_two_user",
-    "solve_two_user_limited",
     "sum_rate",
     "total_delay",
     "user_rate",

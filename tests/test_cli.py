@@ -421,24 +421,29 @@ class TestVerifyCommand:
         assert "feasibility monotone around optimum: ok" in out
 
 
+@pytest.fixture()
+def no_solving(monkeypatch):
+    """Make any solve the CLI starts fail the test."""
+    from nomamec import cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solved before the output paths were checked")
+
+    for name in ("solve_two_user", "bss_solve", "solve_noma_partial",
+                 "solve_noma_full_offload"):
+        monkeypatch.setattr(cli, name, forbidden)
+
+
 class TestOutputDirectory:
     @pytest.mark.parametrize("command", [
         ("solve", "--method", "auto"),
         ("solve", "--method", "bss"),
         ("sweep", "--axis", "p_max", "--values", "0.01"),
     ])
-    def test_out_naming_a_file_exit_2_before_solving(self, tmp_path, capsys, monkeypatch,
+    def test_out_naming_a_file_exit_2_before_solving(self, tmp_path, capsys, no_solving,
                                                      command):
         # os.makedirs used to end both commands in a FileExistsError
         # traceback, solve only after solving
-        from nomamec import cli
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("solved before the output directory was checked")
-
-        for name in ("solve_two_user", "bss_solve", "solve_noma_partial",
-                     "solve_noma_full_offload"):
-            monkeypatch.setattr(cli, name, forbidden)
         path = write_config(tmp_path)
         taken = tmp_path / "taken"
         taken.write_text("keep")
@@ -446,6 +451,29 @@ class TestOutputDirectory:
         assert rc == 2
         assert "taken" in capsys.readouterr().err
         assert taken.read_text() == "keep"
+
+    @pytest.mark.parametrize("command", [
+        ("solve", "--method", "auto"),
+        ("sweep", "--axis", "p_max", "--values", "0.01"),
+    ])
+    def test_csv_naming_a_directory_exit_2_before_solving(self, tmp_path, capsys, no_solving,
+                                                          command):
+        # both used to solve, then end in an IsADirectoryError traceback
+        path = write_config(tmp_path)
+        (tmp_path / "d" / f"{command[0]}.csv").mkdir(parents=True)
+        assert main([command[0], path, *command[1:], "--out", str(tmp_path / "d")]) == 2
+        err = capsys.readouterr().err
+        assert f"{command[0]}.csv" in err and "is a directory" in err
+
+    def test_basename_in_a_missing_folder_exit_2_before_solving(self, tmp_path, capsys,
+                                                                no_solving):
+        # the sweep used to solve every row, then end in a FileNotFoundError
+        path = write_config(tmp_path)
+        out_dir = tmp_path / "d3"
+        assert main(["sweep", path, "--axis", "p_max", "--values", "0.01",
+                     "--basename", "nope/x", "--out", str(out_dir)]) == 2
+        assert "no such directory" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
 
 
 def test_repeated_main_calls_in_one_process(tmp_path, capsys):

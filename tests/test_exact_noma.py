@@ -19,12 +19,17 @@ from nomamec import (
     UserSpec,
     bss_solve,
     check_feasibility,
-    constraint_violations,
     max_violation,
 )
 from nomamec.cli import run_sweep
 from nomamec.configio import LoadedScenario
-from conftest import draw_envelope_scenario, grid_feasible_two_user, minimax, s1_config
+from conftest import (
+    draw_envelope_scenario,
+    grid_feasible_two_user,
+    minimax,
+    residuals,
+    s1_config,
+)
 
 
 def noma_draws(count, seed, users=(2, 8)):
@@ -82,7 +87,7 @@ def test_witness_attains_the_reported_residual(no_slsqp):
         n = cfg.num_users
         for alpha in t_top * 10 ** rng.uniform(-1.5, 0.1, 4):
             rep = check_feasibility(float(alpha), realization, cfg, eps_feas=1e-8)
-            viol = constraint_violations(float(alpha), rep.witness, realization, cfg)
+            viol = residuals(float(alpha), realization, cfg, rep.witness.betas, rep.witness.powers)
             assert rep.residual == pytest.approx(viol[:3 * n].max(), abs=1e-12)
             if rep.feasible:
                 feasible += 1

@@ -3,9 +3,9 @@
 With ``fixed_betas`` every power sits at its energy cap and the verdict
 is the max normalized residual there, computed in scalar arithmetic with
 or without a server; ``max_violation`` shares that residual loop. These
-tests hold both against the numpy reference (``_Problem.power_cap`` and
-``constraint_violations``) and check that a full-offloading sweep no
-longer builds that reference at all.
+tests hold both against the tests' numpy reference (``conftest.residuals``,
+powers clipped to the energy cap in numpy) and run a full-offloading sweep
+end to end, with and without a server.
 """
 
 import math
@@ -21,14 +21,12 @@ from nomamec import (
     UsageError,
     bss_solve,
     check_feasibility,
-    constraint_violations,
     max_violation,
     solve_noma_full_offload,
 )
 from nomamec.cli import run_sweep
 from nomamec.configio import LoadedScenario
-from nomamec.solver import _Problem
-from conftest import draw_envelope_scenario, s1_config
+from conftest import draw_envelope_scenario, residuals, s1_config
 
 
 def pinned_draws(count, seed):
@@ -51,10 +49,10 @@ def pinned_draws(count, seed):
 
 def reference(alpha, realization, cfg, betas):
     """(powers at the numpy energy cap, their max core residual)."""
-    caps = _Problem(realization, cfg).power_cap(alpha, np.asarray(betas))
-    alloc = Allocation(betas=betas, powers=tuple(caps))
-    core = constraint_violations(alpha, alloc, realization, cfg)[:3 * len(betas)]
-    return alloc.powers, core.max()
+    e_loc = np.array([u.local_full_energy for u in cfg.users])
+    caps = np.clip((cfg.e_max - e_loc * (1.0 - np.asarray(betas))) / alpha, 0.0, cfg.p_max)
+    core = residuals(alpha, realization, cfg, betas, caps)[:3 * len(betas)]
+    return tuple(caps), core.max()
 
 
 def threshold(realization, cfg, betas, eps_feas=1e-8):
@@ -112,7 +110,7 @@ def test_scalar_max_violation_matches_the_numpy_reference():
         alloc = Allocation(betas=tuple(rng.uniform(0.0, 1.0, n)),
                            powers=tuple(rng.uniform(0.0, 2.0 * cfg.p_max, n)))
         alpha = float(t_top * 10 ** rng.uniform(-2.0, 0.5))
-        reference = constraint_violations(alpha, alloc, realization, cfg).max()
+        reference = residuals(alpha, realization, cfg, alloc.betas, alloc.powers).max()
         assert max_violation(alpha, alloc, realization, cfg) == pytest.approx(
             reference, rel=0, abs=1e-12)
 
@@ -147,17 +145,9 @@ def test_pinned_branch_at_zero_delay(s1):
     assert rep.witness.betas == (1.0, 0.5)
 
 
-@pytest.fixture
-def no_reference(monkeypatch):
-    """Make any numpy _Problem built inside the library fail the test."""
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("_Problem built on the pinned or no-server path")
-
-    monkeypatch.setattr("nomamec.solver._Problem", forbidden)
-
-
-def test_figure_sweep_builds_no_numpy_problem(no_reference, tmp_path):
+# solver.py imports no numpy, so no oracle call can build a numpy problem;
+# these two run the pinned path end to end, the figure sweep and a server
+def test_figure_sweep_builds_no_numpy_problem(tmp_path):
     # the paper's user-count figure: noma-partial and noma-full, M = 2..8
     loaded = LoadedScenario(config=replace(s1_config(), e_max=2.0), master_seed=2)
     csv_path, _, _ = run_sweep(
@@ -169,7 +159,7 @@ def test_figure_sweep_builds_no_numpy_problem(no_reference, tmp_path):
     assert all(math.isfinite(float(r.split(",")[4])) for r in rows)
 
 
-def test_full_offload_with_a_server_builds_no_numpy_problem(no_reference, s1):
+def test_full_offload_with_a_server_builds_no_numpy_problem(s1):
     realization, cfg = s1
     server = ServerSpec(cycles_per_bit=1e3, cpu_freq=1e10, kappa=1e-28)
     res = solve_noma_full_offload(realization, replace(cfg, server=server), eps=1e-4)

@@ -15,11 +15,10 @@ from nomamec import (
     InfeasibleScenarioError,
     bss_solve,
     check_feasibility,
-    constraint_violations,
 )
 from nomamec.cli import run_sweep
 from nomamec.configio import LoadedScenario
-from conftest import draw_envelope_scenario, s1_config
+from conftest import draw_envelope_scenario, residuals, s1_config
 
 # bss_solve(eps=1e-4) delays on single_user_draws(50, 2026), recorded with
 # the SLSQP oracle before the exact branch existed; inf marks an
@@ -89,7 +88,7 @@ def test_witness_meets_every_constraint(no_slsqp):
         t_loc = cfg.users[0].local_full_time
         for alpha in t_loc * 10 ** rng.uniform(-1.5, 0.2, 4):
             rep = check_feasibility(float(alpha), gains, cfg, eps_feas=1e-8)
-            viol = constraint_violations(float(alpha), rep.witness, gains, cfg)
+            viol = residuals(float(alpha), gains, cfg, rep.witness.betas, rep.witness.powers)
             assert rep.residual == pytest.approx(viol[:3].max(), abs=1e-12)
             if rep.feasible:
                 feasible += 1

@@ -17,12 +17,11 @@ from nomamec import (
     UserSpec,
     bss_solve,
     check_feasibility,
-    constraint_violations,
     grid_oracle_two_user,
     init_bounds,
     max_violation,
 )
-from conftest import draw_envelope_scenario, s1_config
+from conftest import draw_envelope_scenario, residuals, s1_config
 
 
 def light_users_config(**overrides):
@@ -64,29 +63,27 @@ class TestConstraintViolations:
     def test_pure_local_at_upper_bound(self):
         cfg = light_users_config()
         alloc = Allocation(betas=(0.0, 0.0), powers=(cfg.p_max, cfg.p_max))
-        viol = constraint_violations(1.6, alloc, (1e4, 1e5), cfg)
-        assert viol.max() <= 1e-12
+        assert max_violation(1.6, alloc, (1e4, 1e5), cfg) <= 1e-12
 
     def test_tiny_alpha_breaks_local(self):
         cfg = light_users_config()
         alloc = Allocation(betas=(0.5, 0.5), powers=(0.0, 0.0))
-        viol = constraint_violations(1e-9, alloc, (1e4, 1e5), cfg)
+        viol = residuals(1e-9, (1e4, 1e5), cfg, alloc.betas, alloc.powers)
         n = cfg.num_users
         assert viol[n : 2 * n].max() > 0  # local-time residuals
+        assert max_violation(1e-9, alloc, (1e4, 1e5), cfg) == pytest.approx(viol.max(), abs=1e-12)
 
     def test_alpha_must_be_positive(self):
         cfg = light_users_config()
         alloc = Allocation(betas=(0.0, 0.0), powers=(0.0, 0.0))
         with pytest.raises(UsageError):
-            constraint_violations(0.0, alloc, (1e4, 1e5), cfg)
+            max_violation(0.0, alloc, (1e4, 1e5), cfg)
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf])
     def test_alpha_must_be_finite(self, alpha):
         # max_violation used to return 0.0 at a NaN delay
         cfg = light_users_config()
         alloc = Allocation(betas=(0.0, 0.0), powers=(0.0, 0.0))
-        with pytest.raises(UsageError, match="alpha"):
-            constraint_violations(alpha, alloc, (1e4, 1e5), cfg)
         with pytest.raises(UsageError, match="alpha"):
             max_violation(alpha, alloc, (1e4, 1e5), cfg)
 
@@ -191,7 +188,8 @@ class TestBisection:
         res = bss_solve(realization, cfg, eps=1e-4)
         assert res.converged
         assert res.feasibility_residual <= 1e-8
-        viol = constraint_violations(res.optimal_delay + 1e-4, res.allocation, realization, cfg)
+        alloc = res.allocation
+        viol = residuals(res.optimal_delay + 1e-4, realization, cfg, alloc.betas, alloc.powers)
         assert viol.max() <= 1e-8
 
     def test_eps_below_float_spacing_ends(self, s1):
@@ -343,19 +341,6 @@ class TestOptimumStructure:
                 assert res.optimal_delay >= prev - 2e-4
                 prev = res.optimal_delay
         assert solved >= 40
-
-    def test_limited_server_agrees_with_closed_form(self):
-        from nomamec import ServerSpec, TwoUserParams, solve_two_user_limited
-
-        server = ServerSpec(cycles_per_bit=1e3, cpu_freq=1e9, kappa=1e-28)
-        cfg = light_users_config(server=server)
-        gains = ChannelRealization(gains=(2e5, 8e5))
-        params = TwoUserParams.from_scenario(gains, cfg)
-        ltd = solve_two_user_limited(params, server)
-        res = bss_solve(gains, cfg, eps=1e-5)
-        assert res.optimal_delay == pytest.approx(ltd.delay, rel=2e-3)
-        # the bisection solver may only improve on the structured answer
-        assert res.optimal_delay <= ltd.delay * (1 + 1e-3)
 
 
 class TestConvexityAndMonotonicity:
