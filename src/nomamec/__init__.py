@@ -17,7 +17,6 @@ from .baselines import (
 )
 from .closed_form import (
     EqualTimeInfeasible,
-    TwoUserParams,
     TwoUserSolution,
     p1_water,
     p2_water,
@@ -80,7 +79,6 @@ __all__ = [
     "Seed",
     "ServerSpec",
     "SolveResult",
-    "TwoUserParams",
     "TwoUserSolution",
     "UsageError",
     "UserSpec",

@@ -20,7 +20,7 @@ from .model import (
     UsageError,
     sum_rate,
 )
-from .solver import InfeasibleScenarioError, bss_solve, init_bounds
+from .solver import InfeasibleScenarioError, _gain_tuple, bss_solve, init_bounds
 # unused here since bss_solve decides each full-offload bracket top; kept
 # because bench/tracing.py patches nomamec.baselines.check_feasibility
 from .solver import check_feasibility  # noqa: F401
@@ -168,11 +168,12 @@ def solve_ofdma_partial(
     slice rather than the shared-band formula. Each user's ratio and
     power are the exact oracle's minimum-energy allocation at its
     reported delay plus eps, so the rate, power and efficiency figures
-    describe that point.
+    describe that point. gains must be M finite, positive values, else
+    UsageError.
     """
     check_circuit_power(p_circuit)
-    g = gains.gains if isinstance(gains, ChannelRealization) else tuple(gains)
     m = config.num_users
+    g = _gain_tuple(gains, m)
     if rb_count not in (1, m):
         raise UsageError(f"rb_count must be 1 or the user count {m}")
     share = rb_count * config.bandwidth / (m * m)
@@ -209,7 +210,7 @@ def solve_ofdma_partial(
     )
 
 
-def full_local_delay(config: ScenarioConfig, gains=None, p_circuit: float = DEFAULT_CIRCUIT_POWER) -> SchemeResult:
+def full_local_delay(config: ScenarioConfig, p_circuit: float = DEFAULT_CIRCUIT_POWER) -> SchemeResult:
     """Everything computed on the devices; nothing transmitted."""
     check_circuit_power(p_circuit)
     for i, u in enumerate(config.users):

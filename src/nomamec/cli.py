@@ -26,7 +26,7 @@ from .baselines import (
     solve_noma_partial,
     solve_ofdma_partial,
 )
-from .closed_form import EqualTimeInfeasible, TwoUserParams, solve_two_user
+from .closed_form import EqualTimeInfeasible, solve_two_user
 from .configio import ConfigError, LoadedScenario, config_to_dict, load_config
 from .lambertw import BRANCH_POINT, lambert_w0, lambert_wm1
 from .model import Allocation, ChannelRealization, ScenarioConfig, UsageError, user_rate, sum_rate
@@ -117,7 +117,7 @@ def _run_scheme(scheme: str, gains, config: ScenarioConfig, eps, eps_feas, p_cir
     if scheme == "ofdma-partial-mrb":
         return solve_ofdma_partial(gains, config, config.num_users, eps, eps_feas, p_circuit)
     if scheme == "local":
-        return full_local_delay(config, gains, p_circuit)
+        return full_local_delay(config, p_circuit)
     raise UsageError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
 
 
@@ -265,7 +265,7 @@ def _cmd_solve(args) -> int:
         sol = None
         if args.method in ("auto", "closed-form") and closed:
             try:
-                sol = solve_two_user(TwoUserParams.from_scenario(realization, cfg_run))
+                sol = solve_two_user(realization, cfg_run)
             except EqualTimeInfeasible:
                 if args.method == "closed-form":
                     print("error: equal-time structure infeasible; rerun with --method bss",
@@ -359,9 +359,11 @@ def _verify_scenario(loaded: LoadedScenario, gains_override: Optional[str]) -> l
 
     if gains_override is not None:
         try:
-            realization = ChannelRealization(
-                gains=tuple(float(x) for x in gains_override.split(","))
-            )
+            override = tuple(float(x) for x in gains_override.split(","))
+        except ValueError as exc:
+            raise UsageError(f"--gains: {exc}") from None
+        try:
+            realization = ChannelRealization(gains=override)
             if len(realization.gains) != config.num_users:
                 raise UsageError("gain count does not match user count")
             checks.append(("sorted-gain invariant", True, ""))
@@ -417,8 +419,7 @@ def _verify_scenario(loaded: LoadedScenario, gains_override: Optional[str]) -> l
             checks.append((name, True, "skipped: closed form has no server term"))
     elif cfg_run.num_users == 2:
         try:
-            params = TwoUserParams.from_scenario(realization, cfg_run)
-            sol = solve_two_user(params)
+            sol = solve_two_user(realization, cfg_run)
             oracle = grid_oracle_two_user(realization, cfg_run)
             tol = 2.0 * (oracle.grid_effect + 1e-4)
             ok = abs(sol.delay - oracle.delay) <= tol and abs(res.optimal_delay - oracle.delay) <= tol
@@ -432,8 +433,8 @@ def _verify_scenario(loaded: LoadedScenario, gains_override: Optional[str]) -> l
             checks.append(("equal-time structure (local = window)", prop3,
                            f"{tl1:.6g} {tl2:.6g} vs {sol.delay:.6g}"))
             bits = sol.beta1 * u1.task_bits + sol.beta2 * u2.task_bits
-            window_rate = params.rate(sol.p1, sol.p2)
-            prop1 = abs(bits - sol.delay * window_rate) <= 1e-6 * params.a1
+            window_rate = sum_rate(realization, (sol.p1, sol.p2), cfg_run.bandwidth, 2)
+            prop1 = abs(bits - sol.delay * window_rate) <= 1e-6 * (u1.task_bits + u2.task_bits)
             checks.append(("offloaded bits fill the shared window", prop1, ""))
         except EqualTimeInfeasible:
             checks.append(("two-user oracle agreement", True, "skipped: structure infeasible"))

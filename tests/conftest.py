@@ -9,7 +9,6 @@ from nomamec import (
     EqualTimeInfeasible,
     ScenarioConfig,
     Seed,
-    TwoUserParams,
     UserSpec,
     generate_channels,
     reorder_users,
@@ -102,14 +101,18 @@ def feasible_two_user_scenarios(
     p_max_high: float = 0.05,
     energy_slack_only: bool = False,
 ):
-    """Scenarios on which the analytic structure is attainable.
+    """(realization, cfg, sol) triples on which the analytic structure is attainable.
 
     Rejection-sampled from the envelope; "feasible" means solve_two_user
-    returns a valid solution instead of signalling the BSS fallback.
-    With energy_slack_only the draw must also leave both energy budgets
-    strictly slack at full power, the premise under which the analytic
-    structure is the true optimum (a tight budget lets the bisection
-    solver trade extra offloading for transmit power and win slightly).
+    returns a solution instead of raising EqualTimeInfeasible, so sol
+    meets every constraint at its delay (max_violation <= 1e-8). With
+    energy_slack_only the draw must also be Case1 with both energy
+    budgets strictly slack at full power: tau (E_j/T_j + p_max) <= 0.999
+    e_max at the Case1 delay tau. There both local-time constraints bind
+    at the optimum and the closed form is the true optimum; elsewhere a
+    tight budget can let the bisection solver trade extra offloading for
+    transmit power and win (ROADMAP item 6 lists the active sets the
+    closed form does not cover yet).
     """
     rng = np.random.default_rng(seed)
     out = []
@@ -119,25 +122,20 @@ def feasible_two_user_scenarios(
         if attempts > 80 * count:
             raise RuntimeError("envelope rejection sampling is stuck")
         realization, cfg = draw_envelope_scenario(rng, p_max_high)
-        params = TwoUserParams.from_scenario(realization, cfg)
         try:
-            sol = solve_two_user(params)
+            sol = solve_two_user(realization, cfg)
         except EqualTimeInfeasible:
             continue
         if energy_slack_only:
             if sol.case_label != "Case1":
                 continue
-            denom = params.b1 + params.rate(params.p_max, params.p_max)
             slack_ok = all(
-                params.a1 * (kf3 + params.p_max) / denom <= 0.999 * params.e_max
-                for kf3 in (
-                    params.kappa1 * params.f1**3,
-                    params.kappa2 * params.f2**3,
-                )
+                sol.delay * (u.kappa * u.cpu_freq**3 + cfg.p_max) <= 0.999 * cfg.e_max
+                for u in cfg.users
             )
             if not slack_ok:
                 continue
-        out.append((realization, cfg, params, sol))
+        out.append((realization, cfg, sol))
     return out
 
 

@@ -67,15 +67,13 @@ def test_c1_grid_oracle_equivalence():
     start = time.perf_counter()
     scenarios = [s1_scenario()] + [
         (r, c)
-        for r, c, _, _ in feasible_two_user_scenarios(25, seed=101, energy_slack_only=True)
+        for r, c, _ in feasible_two_user_scenarios(25, seed=101, energy_slack_only=True)
     ]
     worst = 0.0
     for realization, cfg in scenarios:
         oracle = grid_oracle_two_user(realization, cfg, n=400)
         tol = 2.0 * (oracle.grid_effect + 1e-4)
-        from nomamec import TwoUserParams
-
-        sol = solve_two_user(TwoUserParams.from_scenario(realization, cfg))
+        sol = solve_two_user(realization, cfg)
         res = bss_solve(realization, cfg, eps=1e-4)
         gap = max(abs(sol.delay - oracle.delay), abs(res.optimal_delay - oracle.delay))
         worst = max(worst, gap / tol)
@@ -91,7 +89,7 @@ def test_c1_grid_oracle_equivalence():
 
 def test_c2_bss_closed_form_agreement():
     worst = 0.0
-    for realization, cfg, params, sol in feasible_two_user_scenarios(
+    for realization, cfg, sol in feasible_two_user_scenarios(
         100, seed=202, energy_slack_only=True
     ):
         # eps is an absolute bracket width; envelope delays go down to
@@ -136,14 +134,9 @@ def test_c4_equal_time_invariants():
     worst_fill = 0.0
     region_ok = True
     cases = []
-    for realization, cfg, params, sol in (
-        [(r, c, None, None) for r, c in scenarios] + picked
-    ):
+    for realization, cfg, sol in [(r, c, None) for r, c in scenarios] + picked:
         if sol is None:
-            from nomamec import TwoUserParams
-
-            params = TwoUserParams.from_scenario(realization, cfg)
-            sol = solve_two_user(params)
+            sol = solve_two_user(realization, cfg)
         cases.append(sol.case_label)
         betas = (sol.beta1, sol.beta2)
         powers = (sol.p1, sol.p2)

@@ -174,6 +174,14 @@ class TestOfdma:
         with pytest.raises(UsageError):
             solve_ofdma_partial(ChannelRealization(gains=(1e4, 1e5)), cfg, rb_count=3)
 
+    @pytest.mark.parametrize("gains", [(1e4,), (1e4, 1e5, 1e6), (0.0, 1e5), (1e4, math.nan)])
+    def test_bad_gains_rejected(self, gains):
+        # a third gain was ignored and a single one ended in an IndexError
+        cfg = light_config()
+        for rb_count in (1, 2):
+            with pytest.raises(UsageError, match="gains"):
+                solve_ofdma_partial(gains, cfg, rb_count=rb_count, eps=1e-2)
+
     def test_delay_nonincreasing_in_power_and_energy_budgets(self):
         from dataclasses import replace
 

@@ -196,8 +196,8 @@ class TestSolveCommand:
         from dataclasses import replace
         from nomamec import cli
 
-        def too_fast(params):
-            sol = real(params)
+        def too_fast(gains, cfg):
+            sol = real(gains, cfg)
             return replace(sol, delay=0.9 * sol.delay)
 
         real = cli.solve_two_user
@@ -400,6 +400,16 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert rc == 1
         assert "sorted-gain invariant: FAIL" in out
+
+    @pytest.mark.parametrize("gains", ["abc", "1e5,abc", ""])
+    def test_unparsable_gains_exit_2(self, tmp_path, capsys, gains):
+        # float() used to end these in a ValueError traceback
+        path = write_config(tmp_path)
+        rc = main(["verify", path, "--gains", gains])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "error: --gains" in captured.err
+        assert "[verify]" not in captured.out
 
     def test_pass_on_symmetric_trivial_scenario(self, tmp_path, capsys):
         users = [

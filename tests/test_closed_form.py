@@ -1,5 +1,7 @@
+import hashlib
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,105 +11,107 @@ from nomamec import (
     ChannelRealization,
     EqualTimeInfeasible,
     ScenarioConfig,
+    Seed,
     ServerSpec,
-    TwoUserParams,
+    UsageError,
     UserSpec,
     bss_solve,
+    generate_channels,
     grid_oracle_two_user,
+    load_config,
     p1_water,
     p2_water,
+    reorder_users,
     solve_two_user,
+    sum_rate,
 )
 from conftest import draw_envelope_scenario, feasible_two_user_scenarios
 
 LN2 = math.log(2.0)
+S1_JSON = Path(__file__).resolve().parent.parent / "configs" / "s1.json"
 
 
-def s1_params(s1):
-    realization, cfg = s1
-    return TwoUserParams.from_scenario(realization, cfg), realization, cfg
+def reduced(cfg):
+    """(a1, b1, (kappa_1 f_1^3, kappa_2 f_2^3)): total bits, local throughput, energy rates."""
+    u1, u2 = cfg.users
+    a1 = u1.task_bits + u2.task_bits
+    b1 = u1.cpu_freq / u1.cycles_per_bit + u2.cpu_freq / u2.cycles_per_bit
+    return a1, b1, (u1.kappa * u1.cpu_freq**3, u2.kappa * u2.cpu_freq**3)
 
 
-def tight_energy_residual(params, kf3, p_self, interference, gain_self):
+def tight_energy_residual(cfg, kf3, p_self, interference, gain_self):
     """Normalized residual of one user's energy budget in the reduced form."""
-    rate = params.bandwidth * math.log2(1.0 + gain_self * p_self + interference)
-    lhs = kf3 * params.a1 + params.a1 * p_self
-    rhs = params.e_max * (params.b1 + rate)
+    a1, b1, _ = reduced(cfg)
+    rate = cfg.bandwidth * math.log2(1.0 + gain_self * p_self + interference)
+    lhs = kf3 * a1 + a1 * p_self
+    rhs = cfg.e_max * (b1 + rate)
     return (lhs - rhs) / rhs
 
 
 class TestWaterLevels:
     def test_defining_identity_user1(self, s1):
-        params, _, _ = s1_params(s1)
-        p2 = params.p_max
-        p1w = p1_water(p2, params)
+        realization, cfg = s1
+        g1, g2 = realization.gains
+        p2 = cfg.p_max
+        p1w = p1_water(p2, realization, cfg)
         assert p1w is not None and math.isfinite(p1w)
-        res = tight_energy_residual(
-            params, params.kappa1 * params.f1**3, p1w, params.gamma2 * p2, params.gamma1
-        )
+        res = tight_energy_residual(cfg, reduced(cfg)[2][0], p1w, g2 * p2, g1)
         assert abs(res) <= 1e-9
 
     def test_defining_identity_user2(self, s1):
-        params, _, _ = s1_params(s1)
-        p2w = p2_water(params.p_max, params)
+        realization, cfg = s1
+        g1, g2 = realization.gains
+        p2w = p2_water(cfg.p_max, realization, cfg)
         assert p2w is not None and math.isfinite(p2w)
-        res = tight_energy_residual(
-            params,
-            params.kappa2 * params.f2**3,
-            p2w,
-            params.gamma1 * params.p_max,
-            params.gamma2,
-        )
+        res = tight_energy_residual(cfg, reduced(cfg)[2][1], p2w, g1 * cfg.p_max, g2)
         assert abs(res) <= 1e-9
 
     def test_against_root_finding_oracle(self, s1):
-        params, _, _ = s1_params(s1)
-        p2 = params.p_max
-        kf3 = params.kappa1 * params.f1**3
-        interference = params.gamma2 * p2
+        realization, cfg = s1
+        g1, g2 = realization.gains
+        a1, b1, (kf3, _) = reduced(cfg)
+        p2 = cfg.p_max
+        interference = g2 * p2
 
         def h(p1):
-            rate = params.bandwidth * math.log2(1.0 + params.gamma1 * p1 + interference)
-            return kf3 * params.a1 + params.a1 * p1 - params.e_max * (params.b1 + rate)
+            rate = cfg.bandwidth * math.log2(1.0 + g1 * p1 + interference)
+            return kf3 * a1 + a1 * p1 - cfg.e_max * (b1 + rate)
 
         # bracket the upper root: start past the stationary point of h
-        p_stat = (
-            params.e_max * params.bandwidth * params.gamma1 / (params.a1 * LN2)
-            - 1.0
-            - interference
-        ) / params.gamma1
+        p_stat = (cfg.e_max * cfg.bandwidth * g1 / (a1 * LN2) - 1.0 - interference) / g1
         lo = max(p_stat, 0.0)
         hi = max(lo * 2.0, 1.0)
         while h(hi) < 0:
             hi *= 2.0
         root = brentq(h, lo, hi, xtol=1e-15, rtol=1e-14)
-        assert p1_water(p2, params) == pytest.approx(root, rel=1e-9)
+        assert p1_water(p2, realization, cfg) == pytest.approx(root, rel=1e-9)
 
     def test_enormous_energy_budget_never_tight(self, s1):
-        params, _, _ = s1_params(s1)
-        loose = replace(params, e_max=1e12)
-        assert p1_water(params.p_max, loose) == math.inf
-        assert p2_water(params.p_max, loose) == math.inf
+        realization, cfg = s1
+        loose = replace(cfg, e_max=1e12)
+        assert p1_water(cfg.p_max, realization, loose) == math.inf
+        assert p2_water(cfg.p_max, realization, loose) == math.inf
 
     def test_always_violated_budget_signals_none(self, s1):
-        params, _, _ = s1_params(s1)
+        realization, cfg = s1
         # a watt-scale local CPU against a millijoule budget: no power level
         # can satisfy user 1's energy constraint
-        tight = replace(params, e_max=1e-3, kappa1=1e-27)
-        assert p1_water(params.p_max, tight) is None
+        u1, u2 = cfg.users
+        tight = replace(cfg, e_max=1e-3, users=(replace(u1, kappa=1e-27), u2))
+        assert p1_water(cfg.p_max, realization, tight) is None
 
 
 class TestSolveTwoUser:
     def test_s1_matches_grid_oracle(self, s1):
-        params, realization, cfg = s1_params(s1)
-        sol = solve_two_user(params)
+        realization, cfg = s1
+        sol = solve_two_user(realization, cfg)
         oracle = grid_oracle_two_user(realization, cfg)
         assert abs(sol.delay - oracle.delay) <= 2 * (oracle.grid_effect + 1e-4)
 
     def test_energy_slack_selects_full_power(self, s1):
-        params, _, _ = s1_params(s1)
-        loose = replace(params, e_max=1e12)
-        sol = solve_two_user(loose)
+        realization, cfg = s1
+        loose = replace(cfg, e_max=1e12)
+        sol = solve_two_user(realization, loose)
         assert sol.case_label == "Case1"
         assert sol.p1 == loose.p_max and sol.p2 == loose.p_max
 
@@ -120,27 +124,29 @@ class TestSolveTwoUser:
             e_max=1e9,
         )
         gains = ChannelRealization(gains=(2e5, 2e5))
-        sol = solve_two_user(TwoUserParams.from_scenario(gains, cfg))
+        sol = solve_two_user(gains, cfg)
         assert sol.p1 == sol.p2
         assert sol.beta1 == pytest.approx(sol.beta2, rel=1e-12)
 
     def test_structure_infeasible_raises(self, s1):
-        params, _, _ = s1_params(s1)
-        squeezed = replace(params, e_max=0.05)
+        realization, cfg = s1
+        squeezed = replace(cfg, e_max=0.05)
         with pytest.raises(EqualTimeInfeasible):
-            solve_two_user(squeezed)
+            solve_two_user(realization, squeezed)
 
     def test_valid_solution_realizes_its_delay(self):
-        for realization, cfg, params, sol in feasible_two_user_scenarios(20, seed=61):
+        for realization, cfg, sol in feasible_two_user_scenarios(20, seed=61):
             u1, u2 = cfg.users
+            powers = (sol.p1, sol.p2)
             # every user's local share ends exactly at the window
             assert (1 - sol.beta1) * u1.local_full_time == pytest.approx(sol.delay, rel=1e-9)
             assert (1 - sol.beta2) * u2.local_full_time == pytest.approx(sol.delay, rel=1e-9)
             # the offloaded bits exactly fill the window at the aggregate rate
             bits = sol.beta1 * u1.task_bits + sol.beta2 * u2.task_bits
-            assert bits == pytest.approx(sol.delay * params.rate(sol.p1, sol.p2), rel=1e-9)
+            rate = sum_rate(realization, powers, cfg.bandwidth, 2)
+            assert bits == pytest.approx(sol.delay * rate, rel=1e-9)
             # and the split is decodable: user 1's share fits its own clean rate
-            rate1 = cfg.bandwidth * math.log2(1.0 + params.gamma1 * sol.p1)
+            rate1 = sum_rate(realization, powers, cfg.bandwidth, 1)
             assert sol.beta1 * u1.task_bits <= sol.delay * rate1 * (1 + 1e-9) + 1e-6
 
     def test_energy_capped_cases_match_oracle(self):
@@ -150,9 +156,8 @@ class TestSolveTwoUser:
         checked = 0
         while checked < 40:
             realization, cfg = draw_envelope_scenario(rng, p_max_high=1.0)
-            params = TwoUserParams.from_scenario(realization, cfg)
             try:
-                sol = solve_two_user(params)
+                sol = solve_two_user(realization, cfg)
             except EqualTimeInfeasible:
                 continue
             checked += 1
@@ -171,43 +176,105 @@ class TestSolveTwoUser:
         found = 0
         while found < 3:
             realization, cfg = draw_envelope_scenario(rng, p_max_high=1.0)
-            params = TwoUserParams.from_scenario(realization, cfg)
             try:
-                sol = solve_two_user(params)
+                sol = solve_two_user(realization, cfg)
             except EqualTimeInfeasible:
                 continue
             if sol.case_label != "Case4":
                 continue
             found += 1
-            r1 = tight_energy_residual(
-                params, params.kappa1 * params.f1**3, sol.p1,
-                params.gamma2 * sol.p2, params.gamma1,
-            )
-            r2 = tight_energy_residual(
-                params, params.kappa2 * params.f2**3, sol.p2,
-                params.gamma1 * sol.p1, params.gamma2,
-            )
+            g1, g2 = realization.gains
+            kf3 = reduced(cfg)[2]
+            r1 = tight_energy_residual(cfg, kf3[0], sol.p1, g2 * sol.p2, g1)
+            r2 = tight_energy_residual(cfg, kf3[1], sol.p2, g1 * sol.p1, g2)
             assert abs(r1) <= 1e-8 and abs(r2) <= 1e-8
 
     def test_reduced_objective_midpoint_convexity(self, s1):
-        params, _, _ = s1_params(s1)
+        realization, cfg = s1
+        g1, g2 = realization.gains
+        a1, b1, kf3s = reduced(cfg)
         rng = np.random.default_rng(5)
 
         def neg_rate(p):
-            return -math.log2(1.0 + params.gamma1 * p[0] + params.gamma2 * p[1])
+            return -math.log2(1.0 + g1 * p[0] + g2 * p[1])
 
         def energy_fn(p, kf3, own):
-            rate = params.bandwidth * math.log2(1.0 + params.gamma1 * p[0] + params.gamma2 * p[1])
-            return params.a1 * (kf3 + p[own]) - params.e_max * (params.b1 + rate)
+            rate = cfg.bandwidth * math.log2(1.0 + g1 * p[0] + g2 * p[1])
+            return a1 * (kf3 + p[own]) - cfg.e_max * (b1 + rate)
 
         for _ in range(200):
-            x = rng.uniform(0, params.p_max, 2)
-            y = rng.uniform(0, params.p_max, 2)
+            x = rng.uniform(0, cfg.p_max, 2)
+            y = rng.uniform(0, cfg.p_max, 2)
             mid = 0.5 * (x + y)
             assert neg_rate(mid) <= 0.5 * (neg_rate(x) + neg_rate(y)) + 1e-9
-            for own, kf3 in ((0, params.kappa1 * params.f1**3), (1, params.kappa2 * params.f2**3)):
+            for own, kf3 in enumerate(kf3s):
                 fm = energy_fn(mid, kf3, own)
                 assert fm <= 0.5 * (energy_fn(x, kf3, own) + energy_fn(y, kf3, own)) + 1e-6
+
+
+# sha256 over one line per draw, repr((case_label, delay, p1, p2, beta1,
+# beta2)) or "EqualTimeInfeasible", recorded from the reduced-form
+# feasibility filter that max_violation replaced
+PINNED_ANSWERS = "6c2a5e73683c779c7c470fa27c0ad9c884a2798ccd6f089eed750620537e6d3b"
+
+
+class TestPinnedAnswers:
+    def test_answers_match_recorded_digest(self):
+        # configs/s1.json masters 0-3 x trials 0-99 (Case1 and Case3), then
+        # 300 envelope draws with p_max up to 1 W (Case1 162, Case2 3,
+        # Case3 2, Case4 6, EqualTimeInfeasible 127)
+        base = load_config(str(S1_JSON)).config
+        draws = []
+        for master in range(4):
+            for trial in range(100):
+                realization = generate_channels(Seed(master=master, trial=trial), base)
+                draws.append((realization, reorder_users(base, realization)))
+        rng = np.random.default_rng(13)
+        draws += [draw_envelope_scenario(rng, p_max_high=1.0) for _ in range(300)]
+
+        digest = hashlib.sha256()
+        labels = {}
+        for realization, cfg in draws:
+            try:
+                sol = solve_two_user(realization, cfg)
+                text = repr((sol.case_label, sol.delay, sol.p1, sol.p2, sol.beta1, sol.beta2))
+                labels[sol.case_label] = labels.get(sol.case_label, 0) + 1
+            except EqualTimeInfeasible:
+                text = "EqualTimeInfeasible"
+            digest.update(text.encode() + b"\n")
+        assert labels == {"Case1": 269, "Case2": 3, "Case3": 3, "Case4": 6}
+        assert digest.hexdigest() == PINNED_ANSWERS
+
+
+class TestBadInput:
+    def test_server_rejected(self, s1):
+        # the closed form has no server term; it used to answer 57-67%
+        # below the server optimum on some draws
+        realization, cfg = s1
+        served = replace(cfg, server=ServerSpec(cycles_per_bit=1e3, cpu_freq=1e10, kappa=1e-28))
+        with pytest.raises(UsageError, match="server"):
+            solve_two_user(realization, served)
+        with pytest.raises(UsageError, match="server"):
+            p1_water(cfg.p_max, realization, served)
+        with pytest.raises(UsageError, match="server"):
+            p2_water(cfg.p_max, realization, served)
+
+    def test_three_users_rejected(self, s1):
+        realization, cfg = s1
+        three = replace(cfg, users=cfg.users + cfg.users[:1])
+        with pytest.raises(UsageError, match="two users"):
+            solve_two_user(realization.gains + (1e9,), three)
+
+    @pytest.mark.parametrize("gains", [
+        (1e5,), (1e5, 2e5, 3e5), (0.0, 1e5), (-1e5, 1e5), (math.nan, 1e5), (1e5, math.inf),
+        (2e5, 1e5),
+    ])
+    def test_bad_gains_rejected(self, s1, gains):
+        _, cfg = s1
+        with pytest.raises(UsageError):
+            solve_two_user(gains, cfg)
+        with pytest.raises(UsageError):
+            p1_water(cfg.p_max, gains, cfg)
 
 
 class TestLimitedServer:
@@ -231,8 +298,8 @@ class TestLimitedServer:
             server=server,
         )
         gains = ChannelRealization(gains=(1e12, 2e12))
-        params = TwoUserParams.from_scenario(gains, cfg)
+        a1, b1, _ = reduced(cfg)
         res = bss_solve(gains, cfg, eps=1e-9)
         # the uplink is near-free, so the server's throughput binds
-        bound = params.a1 / (params.b1 + server.cpu_freq / server.cycles_per_bit)
+        bound = a1 / (b1 + server.cpu_freq / server.cycles_per_bit)
         assert res.optimal_delay == pytest.approx(bound, rel=1e-6)

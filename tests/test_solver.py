@@ -290,7 +290,7 @@ class TestOptimumStructure:
         from nomamec import aggregated_offload_time, local_time
         from conftest import feasible_two_user_scenarios
 
-        for realization, cfg, params, sol in feasible_two_user_scenarios(
+        for realization, cfg, _ in feasible_two_user_scenarios(
             10, seed=88, energy_slack_only=True
         ):
             res = bss_solve(realization, cfg, eps=1e-5)
