@@ -362,10 +362,13 @@ def _verify_scenario(loaded: LoadedScenario, gains_override: Optional[str]) -> l
             override = tuple(float(x) for x in gains_override.split(","))
         except ValueError as exc:
             raise UsageError(f"--gains: {exc}") from None
+        if len(override) != config.num_users:
+            raise UsageError(f"--gains: {len(override)} gains for {config.num_users} users")
+        if not all(0.0 < g < math.inf for g in override):
+            raise UsageError(f"--gains: gains must be finite and > 0, got {gains_override}")
+        # bad values are usage errors; only the decode order is the invariant
         try:
             realization = ChannelRealization(gains=override)
-            if len(realization.gains) != config.num_users:
-                raise UsageError("gain count does not match user count")
             checks.append(("sorted-gain invariant", True, ""))
         except UsageError as exc:
             checks.append(("sorted-gain invariant", False, str(exc)))

@@ -81,6 +81,33 @@ alpha / c_s, so the loop ends after finitely many passes, though near
 the optimum it may take a thousand or more of them (each O(M^2) scalar
 steps). With no server c_s = 0 and the loop is the single pass above.
 
+Without a server the bisection is seeded by the energy-relaxed delay.
+Drop the energy budgets: more power and less offloading then only help,
+so every power sits at p_max and every free ratio at its local-time
+floor (1 - alpha/T_j)^+. Prefix m needs h_m(alpha) = alpha R_m -
+sum_{j<=m} L_j (1 - alpha/T_j)^+ >= 0, with R_m = B log2(1 + p_max
+sum_{j<=m} g_j). h_m is increasing and piecewise linear with breaks at
+the T_j, and its root is alpha_m = sum_A L_j / (R_m + sum_A L_j/T_j),
+A being the users j <= m with T_j > alpha_m. Every set's line lies on or
+above h_m, so starting from all users and dropping those with T_j at or
+below the current root raises the root to alpha_m. With pinned ratios
+the relaxed delay is the larger of max_j T_j (1 - beta_j) and max_m
+sum_{j<=m} beta_j L_j / R_m. The relaxed problem admits every
+allocation the true one does, so alpha_r = max_m alpha_m bounds the
+optimum from below. It is the optimum when its allocation meets every
+budget at alpha_r: E_j min(1, alpha_r/T_j) + alpha_r p_max <= e_max, or
+E_j (1 - beta_j) + alpha_r p_max <= e_max for pinned ratios. For two
+users and free ratios that is the closed form's Case1. When alpha_r is
+the optimum, bss_solve asks the oracle at alpha_r (1 + 1e-6) and
+alpha_r (1 - 1e-6) before halving. A halving at or above the least
+probe found feasible is feasible, one at or below the greatest probe
+found infeasible is infeasible, and any other asks the oracle. Each
+verdict is thus an oracle verdict or follows from one by the
+monotonicity the bisection already relies on, so the trace and the
+delay are those of the unseeded bisection, and a wrong alpha_r could
+only cost calls. With a server the window alpha - c_s W extends the
+formula, but the halvings run unseeded.
+
 One verdict rule decides every call. Each branch builds its witness on
 the exact bounds, and the delay is feasible when that witness's max
 normalized residual is <= eps_feas. If the exact problem is feasible,
@@ -118,6 +145,7 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _NEWTON_MAX = 60
+_SEED_SPREAD = 1e-6  # the seed probes sit at alpha_r (1 +- this)
 
 
 def __getattr__(name: str):
@@ -424,6 +452,47 @@ def _exact_pinned(alpha: float, g, specs, config: ScenarioConfig, betas: tuple) 
     return betas, powers, _max_residual(alpha, window, g, specs, config, betas, powers)
 
 
+def _relaxed_delay(g, specs, config: ScenarioConfig, pinned=None) -> tuple:
+    """(alpha_r, exact): the least delay with every energy budget dropped, no server.
+
+    Every power sits at p_max and every free ratio at its local-time
+    floor; pinned ratios stay pinned. alpha_r bounds the optimum from
+    below, and exact says that allocation at alpha_r meets every budget,
+    so alpha_r is the optimum (see the module docstring).
+    """
+    band, p_max = config.bandwidth, config.p_max
+    snr = bits = alpha_r = 0.0
+    if pinned is not None:
+        for (size, t_loc, _), gain, beta in zip(specs, g, pinned):
+            snr += gain * p_max
+            bits += beta * size
+            rate = band * math.log1p(snr) / _LN2
+            alpha_r = max(alpha_r, t_loc * (1.0 - beta), bits / rate)
+        local = [1.0 - beta for beta in pinned]
+    else:
+        prefix = []
+        for (size, t_loc, _), gain in zip(specs, g):
+            snr += gain * p_max
+            rate = band * math.log1p(snr) / _LN2
+            prefix.append((size, t_loc))
+            # root of the prefix's slack: drop the users whose floor is 0
+            # there until none is left to drop
+            active = prefix
+            while True:
+                root = sum(s for s, _ in active) / (rate + sum(s / t for s, t in active))
+                kept = [(s, t) for s, t in active if t > root]
+                if len(kept) == len(active):
+                    break
+                active = kept
+            alpha_r = max(alpha_r, root)
+        local = [min(1.0, alpha_r / t_loc) for _, t_loc, _ in specs]
+    exact = all(
+        e_loc * share + alpha_r * p_max <= config.e_max
+        for (_, _, e_loc), share in zip(specs, local)
+    )
+    return alpha_r, exact
+
+
 def _pinned_ratios(fixed_betas, n: int) -> tuple:
     """fixed_betas as a tuple of n floats in [0, 1]; UsageError otherwise."""
     try:
@@ -547,12 +616,18 @@ def bss_solve(
 
     Performs ceil(log2(bracket / eps)) halvings, fewer only when no float
     lies strictly between the bracket's ends. The halvings are
-    verdict-only: no allocation is built. check_feasibility decides the
-    bracket top and certifies the returned allocation with one extra call
-    at the reported delay plus eps (or at the bracket's feasible end, if
-    that is later, as when eps is below the float spacing), so the stored
-    residual is meaningful at that level; should that call fail, the
-    witness is rebuilt at the bracket's feasible end.
+    verdict-only: no allocation is built. Without a server, when the
+    energy-relaxed delay alpha_r is the optimum and lies inside the
+    bracket, two oracle probes at alpha_r (1 +- 1e-6) decide every
+    halving outside that interval (see the module docstring); the trace,
+    the delay and the allocation are those of the unseeded halvings, and
+    with slack budgets a solve takes four oracle calls in all.
+    check_feasibility decides the bracket top and certifies the returned
+    allocation with one extra call at the reported delay plus eps (or at
+    the bracket's feasible end, if that is later, as when eps is below
+    the float spacing), so the stored residual is meaningful at that
+    level; should that call fail, the witness is rebuilt at the bracket's
+    feasible end.
 
     Raises InfeasibleScenarioError when even the upper bound (every task
     computed locally, or the caller-supplied bracket top) is infeasible,
@@ -573,12 +648,27 @@ def bss_solve(
             f"no feasible allocation at the delay upper bound {hi:.6g} s "
             f"(max violation {top.residual:.3g}); energy budget too small"
         )
+    # the least delay a seed probe found feasible, the greatest it found infeasible
+    yes_from, no_to = hi, lo
+    if config.server is None:
+        alpha_r, exact = _relaxed_delay(oracle.g, oracle.specs, config, oracle.pinned)
+        if exact and lo < alpha_r < hi:
+            for probe in (alpha_r * (1.0 + _SEED_SPREAD), alpha_r * (1.0 - _SEED_SPREAD)):
+                if oracle.holds(probe, eps_feas):
+                    yes_from = min(yes_from, probe)
+                else:
+                    no_to = max(no_to, probe)
     trace = []
     while hi - lo > eps:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break  # eps is below the float spacing of the bracket
-        feasible = oracle.holds(mid, eps_feas)
+        if mid >= yes_from:
+            feasible = True
+        elif mid <= no_to:
+            feasible = False
+        else:
+            feasible = oracle.holds(mid, eps_feas)
         trace.append((mid, feasible))
         if feasible:
             hi = mid

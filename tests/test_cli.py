@@ -401,9 +401,12 @@ class TestVerifyCommand:
         assert rc == 1
         assert "sorted-gain invariant: FAIL" in out
 
-    @pytest.mark.parametrize("gains", ["abc", "1e5,abc", ""])
+    @pytest.mark.parametrize(
+        "gains", ["abc", "1e5,abc", "", "nan,1e5", "0,1e5", "inf,1e5", "1e5"]
+    )
     def test_unparsable_gains_exit_2(self, tmp_path, capsys, gains):
-        # float() used to end these in a ValueError traceback
+        # float() used to end the first three in a ValueError traceback, and
+        # the rest read as a failed sorted-gain invariant with exit 1
         path = write_config(tmp_path)
         rc = main(["verify", path, "--gains", gains])
         captured = capsys.readouterr()

@@ -4,9 +4,10 @@ output must leave these digests as they are.
 The sweeps are shaped like the benchmark's ``fig-users`` (user counts
 2..8, noma-partial and noma-full, eps 1e-3) and ``ofdma-m4`` (M = 4,
 both OFDMA baselines and local) workloads on ``configs/s1.json`` with
-e_max 2 J; the solves are trials 0-9 of ``configs/s1.json`` itself, and
-with ``--method bss`` also of it plus a finite-capacity server, which
-runs the fixed-point oracle.
+e_max 2 J, where every energy budget is slack, and the ``fig-users``
+shape also at e_max 0.5 J, where some budgets bind; the solves are
+trials 0-9 of ``configs/s1.json`` itself, and with ``--method bss`` also
+of it plus a finite-capacity server, which runs the fixed-point oracle.
 """
 
 import hashlib
@@ -30,6 +31,9 @@ SERVER = {"cycles_per_bit": 1e3, "cpu_freq_hz": 1e10, "kappa": 1e-28}
 GOLDEN = {
     "fig-users 1000": "7db949f2b7058e32f878015f7e31afdc2b7c4b1d2a57b5e5a7cf1a2892c9e361",
     "fig-users 1001": "f42cc5466abe7620e159a812812a4791e7347cb2f151726f8472a73fe3f38e2e",
+    # master 1000 at e_max 0.5 J: 4 of the 7 noma-partial solves have a
+    # binding budget
+    "fig-users 1000 e_max 0.5": "88f27489a557f50ad59c2c33c25610a760632fdb92becb516a7edd85f1659cad",
     "ofdma-m4 1000": "395f1dfab4b196dc2ed759488e860ec730d015f62261c8064a4b7dd1e030f3b8",
     "solve auto 0-9": "8f89f8b08f5c52c528992155b23913775885f78aa7e2f27987c50214cf98fed9",
     "solve bss 0-9": "1710717694d48b0bbf5e619d6592f718afe2b469c0ec5d6c5f857b874d109b62",
@@ -45,9 +49,9 @@ def _digest(out_dirs, names) -> str:
     return h.hexdigest()
 
 
-def _sweep(tmp_path, kind: str, master: int) -> str:
+def _sweep(tmp_path, kind: str, master: int, e_max: float = 2.0) -> str:
     cfg = json.loads(CONFIG.read_text())
-    cfg.update(e_max_j=2.0, master_seed=master)
+    cfg.update(e_max_j=e_max, master_seed=master)
     path = tmp_path / f"in{master}.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / f"{kind}{master}"
@@ -79,6 +83,7 @@ def test_output_bytes_unchanged(tmp_path, capsys, name):
         words = what.split()
         got = _solves(tmp_path, words[0], "server" in words)
     else:
-        got = _sweep(tmp_path, kind, int(what))
+        master, *budget = what.split(" e_max ")
+        got = _sweep(tmp_path, kind, int(master), *map(float, budget))
     capsys.readouterr()
     assert got == GOLDEN[name]

@@ -1,8 +1,10 @@
+import json
 import math
 import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +22,16 @@ from nomamec import (
     grid_oracle_two_user,
     init_bounds,
     max_violation,
+    solver,
 )
-from conftest import draw_envelope_scenario, residuals, s1_config
+from conftest import (
+    draw_envelope_scenario,
+    feasible_two_user_scenarios,
+    residuals,
+    s1_config,
+)
+
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "s1.json"
 
 
 def light_users_config(**overrides):
@@ -280,6 +290,80 @@ class TestBisection:
         assert a.optimal_delay == b.optimal_delay
         assert a.allocation == b.allocation
         assert a.trace == b.trace
+
+
+def relaxed_delay(realization, cfg, pinned=None):
+    """(alpha_r, exact) of the energy-relaxed problem that seeds bss_solve."""
+    oracle = solver._Oracle(realization, cfg, pinned)
+    return solver._relaxed_delay(oracle.g, oracle.specs, cfg, oracle.pinned)
+
+
+class TestRelaxedDelay:
+    def test_lower_bound_and_exact_when_flagged(self):
+        rng = np.random.default_rng(41)
+        exact = {"free": 0, "pinned": 0}
+        for _ in range(160):
+            m = int(rng.integers(1, 9))
+            realization, cfg = draw_envelope_scenario(rng, n_users=m)
+            if rng.random() < 0.5:
+                cfg = replace(cfg, e_max=float(rng.uniform(0.4, 3.0)))
+            pinned = tuple(rng.uniform(0.0, 1.0, m)) if rng.random() < 0.4 else None
+            eps = 1e-6 * max(u.local_full_time for u in cfg.users)
+            try:
+                res = bss_solve(realization, cfg, eps=eps, fixed_betas=pinned)
+            except InfeasibleScenarioError:
+                continue
+            alpha_r, is_exact = relaxed_delay(realization, cfg, pinned)
+            assert alpha_r <= res.optimal_delay + eps, (m, pinned)
+            if is_exact:
+                assert abs(alpha_r - res.optimal_delay) <= eps, (m, pinned)
+                exact["free" if pinned is None else "pinned"] += 1
+        assert min(exact.values()) >= 10, exact
+
+    def test_two_user_case1(self):
+        # with both budgets slack the closed form's Case1 is the optimum:
+        # the total-bits rate constraint and both local times bind
+        for realization, cfg, sol in feasible_two_user_scenarios(
+            40, seed=5, energy_slack_only=True
+        ):
+            alpha_r, exact = relaxed_delay(realization, cfg)
+            assert exact
+            assert alpha_r == pytest.approx(sol.delay, rel=1e-12, abs=0.0)
+
+    def test_slack_budgets_take_at_most_five_oracle_calls(self, tmp_path, monkeypatch, capsys):
+        # the fig-users shape: every budget is slack, so a solve asks the
+        # oracle at the bracket top, the two seed probes and the
+        # certification, plus one failed top per noma-full bracket doubling
+        from nomamec import cli
+
+        calls = []
+        decide = solver._Oracle._decide
+
+        def counting(self, *args):
+            calls.append(args[0])
+            return decide(self, *args)
+
+        monkeypatch.setattr(solver._Oracle, "_decide", counting)
+        per_solve = []
+        for name in ("solve_noma_partial", "solve_noma_full_offload"):
+            def counted(*args, _scheme=getattr(cli, name)):
+                start = len(calls)
+                res = _scheme(*args)
+                per_solve.append(len(calls) - start)
+                return res
+
+            monkeypatch.setattr(cli, name, counted)
+        cfg = json.loads(CONFIG.read_text())
+        cfg.update(e_max_j=2.0, master_seed=1000)
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(cfg))
+        argv = ["sweep", str(path), "--axis", "user_count", "--values", "2,3,4,5,6,7,8",
+                "--schemes", "noma-partial,noma-full", "--seeds", "1", "--eps", "1e-3",
+                "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert len(per_solve) == 14
+        assert max(per_solve) <= 5, per_solve
 
 
 class TestOptimumStructure:
