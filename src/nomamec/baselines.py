@@ -4,8 +4,9 @@ The OFDMA model divides the band into M resource blocks of width B/M.
 A scheme may use rb_count of them; its users spread equally over the
 used blocks and split each block evenly, so every user transmits in a
 clean slice of width rb_count * B / M^2 with noise scaled to the slice.
-Per-user subproblems are then independent single-user instances of the
-partial-offloading solver.
+Without an edge server, per-user subproblems are then independent
+single-user instances of the partial-offloading solver; a shared server
+would couple them, so the OFDMA baselines reject a config with one.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .model import (
     UsageError,
     sum_rate,
 )
-from .solver import InfeasibleScenarioError, _gain_tuple, bss_solve, init_bounds
+from .solver import InfeasibleScenarioError, _gain_tuple, bss_solve
 # unused here since bss_solve decides each full-offload bracket top; kept
 # because bench/tracing.py patches nomamec.baselines.check_feasibility
 from .solver import check_feasibility  # noqa: F401
@@ -128,25 +129,12 @@ def solve_noma_full_offload(
 ) -> SchemeResult:
     """Every task fully offloaded; only powers are optimized.
 
-    The local-compute delay bound is meaningless here, so the bracket
-    top doubles until bss_solve finds the pinned-ratio problem feasible
-    there.
+    bss_solve with every ratio pinned to 1, which doubles its bracket top
+    from the fully-local time until the top is feasible and raises
+    InfeasibleScenarioError when 60 tops are not.
     """
     ones = (1.0,) * config.num_users
-    _, hi = init_bounds(config)
-    for _ in range(60):
-        try:
-            res = bss_solve(
-                gains, config, eps=eps, eps_feas=eps_feas, fixed_betas=ones, alpha_max=hi
-            )
-            break
-        except InfeasibleScenarioError:
-            hi *= 2.0  # bss_solve found its bracket top infeasible
-    else:
-        raise InfeasibleScenarioError(
-            "full offloading infeasible at any delay: the energy budget cannot "
-            "carry the whole task through the channel"
-        )
+    res = bss_solve(gains, config, eps=eps, eps_feas=eps_feas, fixed_betas=ones)
     return _as_result(
         "noma-full", res.optimal_delay, res.allocation, gains, config, p_circuit,
         res.iterations,
@@ -169,9 +157,12 @@ def solve_ofdma_partial(
     power are the exact oracle's minimum-energy allocation at its
     reported delay plus eps, so the rate, power and efficiency figures
     describe that point. gains must be M finite, positive values, else
-    UsageError.
+    UsageError. A server would couple the users, so a config with one
+    raises UsageError.
     """
     check_circuit_power(p_circuit)
+    if config.server is not None:
+        raise UsageError("the OFDMA baseline has no server model; use a config without one")
     m = config.num_users
     g = _gain_tuple(gains, m)
     if rb_count not in (1, m):
@@ -185,7 +176,7 @@ def solve_ofdma_partial(
     iters = 0
     rate_total = 0.0
     for i in range(m):
-        sub = replace(config, bandwidth=share, users=(config.users[i],), server=None)
+        sub = replace(config, bandwidth=share, users=(config.users[i],))
         sub_gain = ChannelRealization(gains=(g[i] * scale,))
         res = bss_solve(sub_gain, sub, eps=eps, eps_feas=eps_feas)
         betas.append(res.allocation.betas[0])

@@ -162,6 +162,8 @@ def run_sweep(
     for s in schemes:
         if s not in SCHEMES:
             raise UsageError(f"unknown scheme {s!r}; choose from {SCHEMES}")
+        if s.startswith("ofdma") and loaded.config.server is not None:
+            raise UsageError(f"scheme {s} has no server model; use a config without one")
     check_circuit_power(p_circuit)
     _check_tolerances(eps, eps_feas)
     points = [_apply_axis(loaded.config, axis, value) for value in values]

@@ -57,7 +57,9 @@ Pinned ratios (``fixed_betas``, as in full offloading), with or without a
 server, are decided in O(M) scalar steps. Each power sits at its energy
 cap clip((e_max - E_j (1 - beta_j)) / alpha, 0, p_max), and with the
 ratios fixed the server time c sum_j beta_j L_j is a constant, so every
-rate constraint sees the window alpha - c sum_j beta_j L_j.
+rate constraint sees the window alpha - c sum_j beta_j L_j. The fully
+local time T_max bounds nothing here, so bss_solve doubles its bracket
+top from T_max until the oracle finds it feasible.
 
 Free ratios with a server, any number of users: a fixed point of
 frontier passes. Write W for the total offloaded bits sum_j beta_j L_j
@@ -305,14 +307,13 @@ def _max_residual(
     return worst
 
 
-def _exact_single_user(alpha: float, g: float, config: ScenarioConfig) -> tuple:
+def _exact_single_user(alpha: float, g: float, specs, config: ScenarioConfig) -> tuple:
     """(betas, powers, residual) for one user with a free ratio and no server.
 
     Evaluates the minimum-energy admissible allocation derived in the
     module docstring, in plain float arithmetic.
     """
-    user = config.users[0]
-    bits, t_loc, e_loc = user.task_bits, user.local_full_time, user.local_full_energy
+    ((bits, t_loc, e_loc),) = specs
     band = config.bandwidth
     p_lo = max(0.0, _pow2m1(bits / band * (1.0 / alpha - 1.0 / t_loc)) / g)
     p_full = _pow2m1(bits / (alpha * band)) / g
@@ -320,12 +321,7 @@ def _exact_single_user(alpha: float, g: float, config: ScenarioConfig) -> tuple:
     p = min(max(min(max(p_s, 0.0), p_full), p_lo), config.p_max)
     rate = band * math.log1p(g * p) / _LN2
     beta = min(1.0, alpha * rate / bits)
-    residual = max(
-        (beta * bits - alpha * rate) / bits,
-        (t_loc * (1.0 - beta) - alpha) / t_loc,
-        (e_loc * (1.0 - beta) + alpha * p - config.e_max) / config.e_max,
-    )
-    return (beta,), (p,), residual
+    return (beta,), (p,), _max_residual(alpha, alpha, (g,), specs, config, (beta,), (p,))
 
 
 def _root(c: float, u: float, s: float, slope: float, bound: float) -> float:
@@ -551,7 +547,7 @@ class _Oracle:
         if self.pinned is not None:
             return _exact_pinned(alpha, g, self.specs, config, self.pinned)
         if len(g) == 1 and config.server is None:
-            return _exact_single_user(alpha, g[0], config)
+            return _exact_single_user(alpha, g[0], self.specs, config)
         return self._free_run(alpha, eps_feas)
 
     def _free_run(self, alpha: float, eps_feas: float) -> tuple:
@@ -606,13 +602,15 @@ def bss_solve(
     eps: float = 1e-4,
     eps_feas: float = 1e-8,
     fixed_betas: Optional[Sequence[float]] = None,
-    alpha_max: Optional[float] = None,
 ) -> SolveResult:
     """Least common delay by bisection on the feasibility oracle.
 
     Every oracle call, with or without a server, is decided by the one
     verdict rule of the module docstring, so the delay is globally
     optimal within eps, up to the (0, eps_feas] band of that rule.
+
+    The bracket runs from 0 to the fully-local time T_max; with pinned
+    ratios the top doubles while infeasible, trying T_max 2^k, k < 60.
 
     Performs ceil(log2(bracket / eps)) halvings, fewer only when no float
     lies strictly between the bracket's ends. The halvings are
@@ -629,24 +627,26 @@ def bss_solve(
     level; should that call fail, the witness is rebuilt at the bracket's
     feasible end.
 
-    Raises InfeasibleScenarioError when even the upper bound (every task
-    computed locally, or the caller-supplied bracket top) is infeasible,
-    and UsageError when alpha_max is given and is not finite and > 0.
+    Raises InfeasibleScenarioError, naming the last top tried, when no
+    top is feasible. T_max bounds a free-ratio optimum when every user's
+    fully-local energy is within e_max; when one is not, a feasible delay
+    above T_max may exist, yet free ratios still try T_max alone.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise UsageError("eps must be finite and > 0")
     _check_eps_feas(eps_feas)
     oracle = _Oracle(gains, config, fixed_betas)
-    lo, hi = init_bounds(config)
-    if alpha_max is not None:
-        if not 0.0 < alpha_max < math.inf:
-            raise UsageError(f"alpha_max must be finite and > 0, got {alpha_max}")
-        hi = alpha_max
-    top = check_feasibility(hi, gains, config, eps_feas, fixed_betas=fixed_betas)
-    if not top.feasible:
+    lo, t_max = init_bounds(config)
+    # pinned ratios: T_max bounds nothing, so try the tops T_max 2^k
+    for k in range(1 if oracle.pinned is None else 60):
+        hi = t_max * 2.0**k
+        top = check_feasibility(hi, gains, config, eps_feas, fixed_betas=fixed_betas)
+        if top.feasible:
+            break
+    else:
         raise InfeasibleScenarioError(
-            f"no feasible allocation at the delay upper bound {hi:.6g} s "
-            f"(max violation {top.residual:.3g}); energy budget too small"
+            f"no feasible allocation at the bracket top {hi:.6g} s "
+            f"(max violation {top.residual:.3g})"
         )
     # the least delay a seed probe found feasible, the greatest it found infeasible
     yes_from, no_to = hi, lo

@@ -8,6 +8,7 @@ from nomamec import (
     ChannelRealization,
     InfeasibleScenarioError,
     ScenarioConfig,
+    ServerSpec,
     UsageError,
     UserSpec,
     bss_solve,
@@ -181,6 +182,14 @@ class TestOfdma:
         for rb_count in (1, 2):
             with pytest.raises(UsageError, match="gains"):
                 solve_ofdma_partial(gains, cfg, rb_count=rb_count, eps=1e-2)
+
+    @pytest.mark.parametrize("rb_count", [1, 2])
+    def test_server_rejected(self, rb_count):
+        # the users share the server, so the per-user subproblems are not
+        # independent; the server used to be dropped without a word
+        cfg = light_config(server=ServerSpec(1e3, 1e9, 1e-28))
+        with pytest.raises(UsageError, match="server"):
+            solve_ofdma_partial(ChannelRealization(gains=(1e4, 1e5)), cfg, rb_count=rb_count)
 
     def test_delay_nonincreasing_in_power_and_energy_budgets(self):
         from dataclasses import replace

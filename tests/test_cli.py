@@ -340,6 +340,18 @@ class TestSweepBadInput:
         assert not (out_dir / "sweep.csv").exists()
 
 
+    @pytest.mark.parametrize("scheme", ["ofdma-partial-1rb", "ofdma-partial-mrb"])
+    def test_ofdma_with_a_server_exit_2(self, tmp_path, capsys, no_solving, scheme):
+        # the OFDMA baselines have no server model and used to drop it
+        server = {"cycles_per_bit": 1e3, "cpu_freq_hz": 1e9, "kappa": 1e-28}
+        path = write_config(tmp_path, server=server)
+        out_dir = tmp_path / "out"
+        rc = main(["sweep", path, "--axis", "e_max", "--values", "0.2",
+                   "--schemes", f"noma-partial,{scheme}", "--out", str(out_dir)])
+        assert rc == 2
+        assert "server" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize(
         "axis,values", [("user_count", "2,2"), ("user_count", "2,3,2.0"), ("p_max", "0.01,0.01")]
     )

@@ -5,9 +5,12 @@ The sweeps are shaped like the benchmark's ``fig-users`` (user counts
 2..8, noma-partial and noma-full, eps 1e-3) and ``ofdma-m4`` (M = 4,
 both OFDMA baselines and local) workloads on ``configs/s1.json`` with
 e_max 2 J, where every energy budget is slack, and the ``fig-users``
-shape also at e_max 0.5 J, where some budgets bind; the solves are
-trials 0-9 of ``configs/s1.json`` itself, and with ``--method bss`` also
-of it plus a finite-capacity server, which runs the fixed-point oracle.
+shape also at e_max 0.5 J, where some budgets bind. Master 1024 is the
+one ``fig-users`` draw among masters 1000-1039 whose noma-full solves
+start from an infeasible bracket top (the fully-local time) and double
+it three times before bisecting. The solves are trials 0-9 of
+``configs/s1.json`` itself, and with ``--method bss`` also of it plus a
+finite-capacity server, which runs the fixed-point oracle.
 """
 
 import hashlib
@@ -31,6 +34,8 @@ SERVER = {"cycles_per_bit": 1e3, "cpu_freq_hz": 1e10, "kappa": 1e-28}
 GOLDEN = {
     "fig-users 1000": "7db949f2b7058e32f878015f7e31afdc2b7c4b1d2a57b5e5a7cf1a2892c9e361",
     "fig-users 1001": "f42cc5466abe7620e159a812812a4791e7347cb2f151726f8472a73fe3f38e2e",
+    # master 1024: every noma-full solve doubles the bracket top 3 times
+    "fig-users 1024": "f652075c2361a1a27387efdccdedefff49ec9cb6c09957b0fbbb1a5bc9bc9b87",
     # master 1000 at e_max 0.5 J: 4 of the 7 noma-partial solves have a
     # binding budget
     "fig-users 1000 e_max 0.5": "88f27489a557f50ad59c2c33c25610a760632fdb92becb516a7edd85f1659cad",

@@ -14,14 +14,18 @@ from nomamec import (
     ChannelRealization,
     InfeasibleScenarioError,
     ScenarioConfig,
+    Seed,
     ServerSpec,
     UsageError,
     UserSpec,
     bss_solve,
     check_feasibility,
+    generate_channels,
     grid_oracle_two_user,
     init_bounds,
     max_violation,
+    reorder_users,
+    solve_noma_full_offload,
     solver,
 )
 from conftest import (
@@ -141,15 +145,6 @@ class TestCheckFeasibility:
         cfg = replace(cfg, server=server)
         with pytest.raises(UsageError, match="alpha"):
             check_feasibility(alpha, realization, cfg, fixed_betas=fixed_betas)
-        with pytest.raises(UsageError, match="alpha"):
-            bss_solve(realization, cfg, fixed_betas=fixed_betas, alpha_max=alpha)
-
-    @pytest.mark.parametrize("alpha_max", [0.0, -1.0])
-    def test_non_positive_alpha_max_rejected(self, s1, alpha_max):
-        # a bracket top <= 0 is a bad argument, not a too-small energy budget
-        realization, cfg = s1
-        with pytest.raises(UsageError, match="alpha_max"):
-            bss_solve(realization, cfg, alpha_max=alpha_max)
 
     def test_zero_alpha_infeasible(self):
         cfg = light_users_config()
@@ -259,6 +254,20 @@ class TestBisection:
         )
         with pytest.raises(InfeasibleScenarioError):
             bss_solve(ChannelRealization(gains=(1e4, 2e4)), cfg)
+
+    def test_pinned_ratios_double_an_infeasible_bracket_top(self):
+        # master 1024's weak user (gain 14.4) cannot offload its whole task
+        # by the fully-local time 1.6 s; the top doubles three times
+        cfg = replace(s1_config(), e_max=2.0)
+        realization = generate_channels(Seed(master=1024), cfg)
+        cfg = reorder_users(cfg, realization)
+        assert not check_feasibility(1.6, realization, cfg, fixed_betas=(1.0, 1.0)).feasible
+        res = bss_solve(realization, cfg, eps=1e-3, fixed_betas=(1.0, 1.0))
+        full = solve_noma_full_offload(realization, cfg, eps=1e-3)
+        assert res.optimal_delay == full.delay == 8.219921875
+        assert res.iterations == full.iterations == 14
+        assert res.allocation == full.allocation
+        assert res.converged
 
     @pytest.mark.parametrize(
         "tolerances",
