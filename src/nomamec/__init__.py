@@ -43,7 +43,6 @@ from .model import (
     total_delay,
     user_rate,
 )
-from .oracle import OracleResult, grid_oracle_two_user
 from .scenario import (
     Seed,
     dbm_per_hz_to_watts,
@@ -73,7 +72,6 @@ __all__ = [
     "FeasibilityReport",
     "InfeasibleScenarioError",
     "LoadedScenario",
-    "OracleResult",
     "ScenarioConfig",
     "SchemeResult",
     "Seed",
@@ -88,7 +86,6 @@ __all__ = [
     "dbm_per_hz_to_watts",
     "full_local_delay",
     "generate_channels",
-    "grid_oracle_two_user",
     "init_bounds",
     "lambert_w0",
     "lambert_wm1",

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .lambertw import lambert_wm1
-from .model import Allocation, ScenarioConfig, UsageError
-from .solver import _gain_tuple, max_violation
+from .model import ScenarioConfig, UsageError
+from .solver import _gain_tuple, _max_residual, _specs
 
 __all__ = [
     "TwoUserSolution",
@@ -135,6 +135,7 @@ def solve_two_user(gains, config: ScenarioConfig) -> TwoUserSolution:
     are two ascending, finite, positive values.
     """
     g, a1, b1, kf3 = _reduce(gains, config)
+    specs = _specs(config)
     pm = config.p_max
     candidates = [
         ("Case1", pm, pm),
@@ -164,7 +165,9 @@ def solve_two_user(gains, config: ScenarioConfig) -> TwoUserSolution:
             min(max(1.0 - tau * u.cpu_freq / (u.task_bits * u.cycles_per_bit), 0.0), 1.0)
             for u in config.users
         )
-        if max_violation(tau, Allocation(betas, (p1, p2)), g, config) > _TOL:
+        # betas and powers lie in their box, so the box rows of max_violation
+        # are <= 0 and its verdict is that of the (rate, local, energy) rows
+        if _max_residual(tau, tau, g, specs, config, betas, (p1, p2)) > _TOL:
             continue
         best = TwoUserSolution(
             p1=p1, p2=p2, beta1=betas[0], beta2=betas[1], delay=tau, case_label=label

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -208,6 +209,83 @@ def minimax(alpha, gains, cfg, shares=(0.0, 1.0, 0.5)):
         if best <= 0.0:
             break
     return best
+
+
+def least_shares(alpha, powers, cfg):
+    """Each user's least offload share at delay alpha and the given powers.
+
+    max(0, 1 - alpha/T_j, 1 - (e_max - alpha p_j)/E_j): the smallest share
+    that meets user j's local time and energy budget. powers may be a
+    sequence of arrays; the shares broadcast with them.
+    """
+    return [
+        np.maximum.reduce([
+            np.zeros_like(p),
+            1.0 - alpha / u.local_full_time,
+            1.0 - (cfg.e_max - alpha * p) / u.local_full_energy,
+        ])
+        for u, p in zip(cfg.users, np.asarray(powers, dtype=float))
+    ]
+
+
+def reference_two_user(gains, cfg, n=64, zooms=6):
+    """(delay, shares, powers) of the full two-user problem, no server.
+
+    At fixed powers each least share is a maximum of three affine
+    functions of alpha (least_shares), so each prefix rate row
+    sum_{j<=m} L_j share_j <= alpha R_m(p) expands into 3^m affine rows
+    a + b alpha <= 0. With alpha p_j <= e_max these bound alpha by
+    half-lines: the feasible delays form an interval whose left end is
+    exact. (Bisecting alpha per grid point would be wrong: transmit energy
+    alpha p_j grows with alpha.) The left end is minimized over an n-by-n
+    power grid on [0, p_max]^2, then `zooms` times over the +-2 cells
+    around the best point. Every grid point's left end is feasible, so the
+    delay is never below the true optimum. It uses numpy and the UserSpec
+    properties only, no solver code. RuntimeError when no grid point is
+    feasible at any delay.
+    """
+    if cfg.num_users != 2 or cfg.server is not None:
+        raise ValueError("the reference covers two users without a server")
+    g = gains.gains if isinstance(gains, ChannelRealization) else gains
+
+    def left_end(p1, p2):
+        powers = (p1, p2)
+        # user j's share floors, each share_j >= a + b alpha as (a, b)
+        floors = [
+            [(0.0, 0.0), (1.0, -1.0 / u.local_full_time),
+             (1.0 - cfg.e_max / u.local_full_energy, p / u.local_full_energy)]
+            for u, p in zip(cfg.users, powers)
+        ]
+        rates = cfg.bandwidth * np.log2(1.0 + np.cumsum([g[0] * p1, g[1] * p2], axis=0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            left = np.zeros_like(p1)
+            right = np.minimum(cfg.e_max / p1, cfg.e_max / p2)  # alpha p_j <= e_max
+            ok = np.ones_like(p1, dtype=bool)
+            for m, rate in enumerate(rates, start=1):
+                for choice in itertools.product(*floors[:m]):
+                    a = sum(u.task_bits * fa for u, (fa, _) in zip(cfg.users, choice))
+                    b = sum(u.task_bits * fb for u, (_, fb) in zip(cfg.users, choice)) - rate
+                    cut = -a / b
+                    left = np.where(b < 0.0, np.maximum(left, cut), left)
+                    right = np.where(b > 0.0, np.minimum(right, cut), right)
+                    ok &= (b != 0.0) | (a <= 0.0)
+        return np.where(ok & (left <= right), left, np.inf)
+
+    lo, hi = np.zeros(2), np.full(2, cfg.p_max)
+    delay, powers = math.inf, None
+    for _ in range(zooms + 1):
+        p1, p2 = np.meshgrid(np.linspace(lo[0], hi[0], n), np.linspace(lo[1], hi[1], n),
+                             indexing="ij")
+        left = left_end(p1, p2)
+        i = np.unravel_index(int(np.argmin(left)), left.shape)
+        if left[i] < delay:
+            delay, powers = float(left[i]), np.array([p1[i], p2[i]])
+        if powers is None:
+            raise RuntimeError("no grid point is feasible")
+        step = (hi - lo) / (n - 1)
+        lo, hi = np.maximum(powers - 2 * step, 0.0), np.minimum(powers + 2 * step, cfg.p_max)
+    shares = tuple(float(s) for s in least_shares(delay, powers, cfg))
+    return delay, shares, tuple(float(p) for p in powers)
 
 
 def grid_feasible_two_user(alpha, gains, cfg, n=201):

@@ -6,8 +6,10 @@ the reference parameter envelope (1 MHz band, 5-50 mW power budgets,
 0.1-0.4 J energy budgets, 0.5-3 Mb tasks); feasible means the analytic
 equal-time structure is attainable. The solver-agreement criteria (1, 2)
 additionally require the energy budgets to be slack at full power, the
-premise under which that structure is the true optimum; tight-budget
-cases are validated against the grid oracle in the closed-form tests.
+premise under which that structure is the true optimum. Tight-budget
+cases are checked against the full-problem reference in
+tests/test_closed_form.py, where the closed form is still off the optimum
+on some of them (ROADMAP item 6).
 """
 
 import math
@@ -27,7 +29,6 @@ from nomamec import (
     check_feasibility,
     full_local_delay,
     generate_channels,
-    grid_oracle_two_user,
     init_bounds,
     lambert_w0,
     local_time,
@@ -47,6 +48,7 @@ from conftest import (
     draw_envelope_scenario,
     feasible_two_user_scenarios,
     random_gain_power_instance,
+    reference_two_user,
     s1_config,
 )
 
@@ -63,25 +65,27 @@ def s1_scenario():
     return realization, reorder_users(cfg, realization)
 
 
-def test_c1_grid_oracle_equivalence():
+def test_c1_full_problem_reference_equivalence():
     start = time.perf_counter()
     scenarios = [s1_scenario()] + [
         (r, c)
         for r, c, _ in feasible_two_user_scenarios(25, seed=101, energy_slack_only=True)
     ]
+    eps = 1e-4
     worst = 0.0
     for realization, cfg in scenarios:
-        oracle = grid_oracle_two_user(realization, cfg, n=400)
-        tol = 2.0 * (oracle.grid_effect + 1e-4)
+        delay, _, _ = reference_two_user(realization, cfg)
+        # the reference is within 1e-5 of the optimum, bss_solve within eps above it
+        tol = eps + 1e-5 * delay
         sol = solve_two_user(realization, cfg)
-        res = bss_solve(realization, cfg, eps=1e-4)
-        gap = max(abs(sol.delay - oracle.delay), abs(res.optimal_delay - oracle.delay))
+        res = bss_solve(realization, cfg, eps=eps)
+        gap = max(abs(sol.delay - delay), abs(res.optimal_delay - delay))
         worst = max(worst, gap / tol)
         assert gap <= tol, (gap, tol)
     elapsed = time.perf_counter() - start
     report(
         1,
-        "grid-oracle equivalence",
+        "full-problem reference equivalence",
         worst <= 1.0 and elapsed < 60.0,
         f"26 scenarios, worst gap {worst:.2f}x tolerance, {elapsed:.1f}s < 60s",
     )

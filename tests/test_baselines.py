@@ -135,7 +135,7 @@ class TestFullOffload:
         with pytest.raises(InfeasibleScenarioError):
             solve_noma_full_offload(gains, cfg)
 
-    def test_matches_pinned_ratio_grid_oracle(self, s1):
+    def test_matches_pinned_ratio_power_grid(self, s1):
         realization, cfg = s1
         g1, g2 = realization.gains
         u1, u2 = cfg.users

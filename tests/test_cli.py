@@ -434,9 +434,19 @@ class TestVerifyCommand:
         path = write_config(tmp_path, name="sym.json", users=users, master_seed=5)
         assert main(["verify", path]) == 0
 
+    def test_catches_a_closed_form_above_the_optimum(self, tmp_path, capsys):
+        # master 1, trial 258 of the s1 config, already in decode order: the
+        # closed form's Case3 answer is 0.34% above the optimum
+        path = write_config(tmp_path)
+        rc = main(["verify", path, "--gains", "84910.03906516009,1655467.2674352496"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert ("two-user closed form agrees with bss: FAIL (closed 0.199652 bss 0.198975)"
+                in out)
+
     def test_server_skips_the_two_user_closed_form_checks(self, tmp_path, capsys):
-        # neither the closed form nor the grid oracle has a server term, so
-        # the two-user checks cannot speak for a server scenario
+        # the closed form has no server term, so the two-user checks cannot
+        # speak for a server scenario
         path = write_config(tmp_path, server=SERVER)
         rc = main(["verify", path])
         out = capsys.readouterr().out

@@ -17,7 +17,6 @@ from nomamec import (
     UserSpec,
     bss_solve,
     generate_channels,
-    grid_oracle_two_user,
     load_config,
     p1_water,
     p2_water,
@@ -25,7 +24,7 @@ from nomamec import (
     solve_two_user,
     sum_rate,
 )
-from conftest import draw_envelope_scenario, feasible_two_user_scenarios
+from conftest import draw_envelope_scenario, feasible_two_user_scenarios, reference_two_user
 
 LN2 = math.log(2.0)
 S1_JSON = Path(__file__).resolve().parent.parent / "configs" / "s1.json"
@@ -101,12 +100,31 @@ class TestWaterLevels:
         assert p1_water(cfg.p_max, realization, tight) is None
 
 
+@pytest.fixture(scope="module")
+def energy_capped_draws():
+    """(realization, cfg, closed form, reference delay) on 40 accepted draws.
+
+    Power budgets up to 1 W make the energy caps bite (cases 2-4); draws
+    where solve_two_user raises EqualTimeInfeasible are skipped.
+    """
+    rng = np.random.default_rng(77)
+    draws = []
+    while len(draws) < 40:
+        realization, cfg = draw_envelope_scenario(rng, p_max_high=1.0)
+        try:
+            sol = solve_two_user(realization, cfg)
+        except EqualTimeInfeasible:
+            continue
+        draws.append((realization, cfg, sol, reference_two_user(realization, cfg)[0]))
+    return draws
+
+
 class TestSolveTwoUser:
-    def test_s1_matches_grid_oracle(self, s1):
+    def test_s1_matches_reference(self, s1):
         realization, cfg = s1
         sol = solve_two_user(realization, cfg)
-        oracle = grid_oracle_two_user(realization, cfg)
-        assert abs(sol.delay - oracle.delay) <= 2 * (oracle.grid_effect + 1e-4)
+        delay, _, _ = reference_two_user(realization, cfg)
+        assert sol.delay == pytest.approx(delay, rel=1e-6)
 
     def test_energy_slack_selects_full_power(self, s1):
         realization, cfg = s1
@@ -149,27 +167,28 @@ class TestSolveTwoUser:
             rate1 = sum_rate(realization, powers, cfg.bandwidth, 1)
             assert sol.beta1 * u1.task_bits <= sol.delay * rate1 * (1 + 1e-9) + 1e-6
 
-    def test_energy_capped_cases_match_oracle(self):
-        # higher power budgets make the energy caps bite (cases 2-4)
-        rng = np.random.default_rng(77)
+    def test_bss_matches_reference_on_energy_capped_draws(self, energy_capped_draws):
+        eps = 1e-7
+        for realization, cfg, _, delay in energy_capped_draws:
+            bss = bss_solve(realization, cfg, eps=eps).optimal_delay
+            # the reference is never below the optimum, bss at most eps above it
+            assert delay >= bss - eps
+            assert abs(delay - bss) <= 1e-5 * bss
+
+    def test_energy_capped_cases_never_beat_reference(self, energy_capped_draws):
+        # every kept candidate is primal feasible, so none is below the optimum
         seen = set()
-        checked = 0
-        while checked < 40:
-            realization, cfg = draw_envelope_scenario(rng, p_max_high=1.0)
-            try:
-                sol = solve_two_user(realization, cfg)
-            except EqualTimeInfeasible:
-                continue
-            checked += 1
+        for _, _, sol, delay in energy_capped_draws:
             seen.add(sol.case_label)
-            oracle = grid_oracle_two_user(realization, cfg)
-            tol = 2 * (oracle.grid_effect + 1e-4)
-            assert abs(sol.delay - oracle.delay) <= tol
-            # the bisection solver may only ever do better than the
-            # equal-time structure, never worse
-            res = bss_solve(realization, cfg)
-            assert res.optimal_delay <= sol.delay + 2e-4
+            assert sol.delay >= delay * (1 - 1e-6)
         assert "Case1" in seen and len(seen) >= 2
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 6: the closed form searches only the equal-time structure; "
+        "on draw 18 it returns Case4 at 0.38716 s against the optimum 0.34055 s"))
+    def test_energy_capped_cases_match_reference(self, energy_capped_draws):
+        for _, _, sol, delay in energy_capped_draws:
+            assert sol.delay == pytest.approx(delay, rel=1e-5)
 
     def test_case4_both_budgets_tight(self):
         rng = np.random.default_rng(123)

@@ -23,7 +23,7 @@ from nomamec import (
     total_delay,
     user_rate,
 )
-from conftest import random_gain_power_instance
+from conftest import random_gain_power_instance, reference_two_user
 
 
 def make_user(L=1.6e6, C=1e3, f=1e9, kappa=1e-27):
@@ -220,29 +220,28 @@ class TestTotalDelay:
 
 
 class TestOracleConsistency:
-    """Model formulas evaluated at the independent grid optimum."""
+    """Model formulas evaluated at the full-problem reference optimum.
+
+    On the reference draw both powers sit at p_max and the shares end both
+    users' local work at the window, so every user transmits all window long.
+    """
 
     def test_total_delay_matches_oracle(self, s1):
-        from nomamec import grid_oracle_two_user, total_delay
-
         realization, cfg = s1
-        oracle = grid_oracle_two_user(realization, cfg)
-        alloc = Allocation(betas=(oracle.beta1, oracle.beta2), powers=(oracle.p1, oracle.p2))
-        bd = total_delay(alloc, realization, cfg)
-        assert bd.overall == pytest.approx(oracle.delay, rel=1e-9)
+        delay, shares, powers = reference_two_user(realization, cfg)
+        bd = total_delay(Allocation(betas=shares, powers=powers), realization, cfg)
+        assert bd.overall == pytest.approx(delay, rel=1e-9)
 
     def test_offload_energy_matches_oracle(self, s1):
-        from nomamec import grid_oracle_two_user
-
         realization, cfg = s1
-        oracle = grid_oracle_two_user(realization, cfg)
-        alloc = Allocation(betas=(oracle.beta1, oracle.beta2), powers=(oracle.p1, oracle.p2))
+        delay, shares, powers = reference_two_user(realization, cfg)
+        alloc = Allocation(betas=shares, powers=powers)
         # both users transmit for the whole window, so radiated energy is
         # window * power; user 2's prefix covers all offloaded bits
         e2 = offload_energy(2, alloc, realization, cfg.users, cfg.bandwidth)
-        assert e2 == pytest.approx(oracle.delay * oracle.p2, rel=1e-9)
+        assert e2 == pytest.approx(delay * powers[1], rel=1e-9)
         e1 = offload_energy(1, alloc, realization, cfg.users, cfg.bandwidth)
-        assert 0.0 < e1 <= oracle.delay * oracle.p1 * (1 + 1e-9)
+        assert 0.0 < e1 <= delay * powers[0] * (1 + 1e-9)
 
 
 class TestValidation:

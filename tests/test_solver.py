@@ -21,7 +21,6 @@ from nomamec import (
     bss_solve,
     check_feasibility,
     generate_channels,
-    grid_oracle_two_user,
     init_bounds,
     max_violation,
     reorder_users,
@@ -31,6 +30,7 @@ from nomamec import (
 from conftest import (
     draw_envelope_scenario,
     feasible_two_user_scenarios,
+    reference_two_user,
     residuals,
     s1_config,
 )
@@ -103,8 +103,8 @@ class TestConstraintViolations:
 
     def test_below_optimum_every_allocation_violated(self, s1):
         realization, cfg = s1
-        oracle = grid_oracle_two_user(realization, cfg)
-        alpha = oracle.delay - 0.01
+        delay, _, _ = reference_two_user(realization, cfg)
+        alpha = delay - 0.01
         grid = np.linspace(0.0, 1.0, 12)
         pgrid = np.linspace(0.0, cfg.p_max, 8)
         for b1 in grid:
@@ -153,9 +153,9 @@ class TestCheckFeasibility:
 
     def test_oracle_bracket(self, s1):
         realization, cfg = s1
-        oracle = grid_oracle_two_user(realization, cfg)
-        assert check_feasibility(oracle.delay + 0.01, realization, cfg).feasible
-        assert not check_feasibility(oracle.delay - 0.01, realization, cfg).feasible
+        delay, _, _ = reference_two_user(realization, cfg)
+        assert check_feasibility(delay + 0.01, realization, cfg).feasible
+        assert not check_feasibility(delay - 0.01, realization, cfg).feasible
 
     def test_report_invariant(self, s1):
         realization, cfg = s1
