@@ -23,7 +23,7 @@ from .closed_form import (
     solve_two_user,
 )
 from .configio import ConfigError, LoadedScenario, load_config
-from .lambertw import lambert_w0, lambert_wm1
+from .lambertw import lambert_wm1
 from .model import (
     Allocation,
     ChannelRealization,
@@ -87,7 +87,6 @@ __all__ = [
     "full_local_delay",
     "generate_channels",
     "init_bounds",
-    "lambert_w0",
     "lambert_wm1",
     "load_config",
     "local_energy",

@@ -30,7 +30,7 @@ from nomamec import (
     full_local_delay,
     generate_channels,
     init_bounds,
-    lambert_w0,
+    lambert_wm1,
     local_time,
     max_violation,
     reorder_users,
@@ -235,18 +235,20 @@ def test_c6_monotone_feasibility_and_dominance():
 
 
 def test_c7_lambert_identity():
+    # the closed form's branch, W-1, over its whole domain: log-spaced
+    # from the branch point, then down to -1e-300; the residual is scaled
+    # by |x|, since max(1, |x|) would hide a wrong answer for tiny |x|
+    near = BRANCH_POINT + np.logspace(-12, math.log10(-BRANCH_POINT) - 1e-9, 10000)
+    points = np.concatenate([near[near < 0], -np.logspace(-300, -1, 2000)])
     worst = 0.0
-    points = BRANCH_POINT + 1e-12 + np.logspace(
-        -12, math.log10(1e6 - BRANCH_POINT), 10000
-    )
-    for x in points:
-        w = lambert_w0(float(x))
-        worst = max(worst, abs(w * math.exp(w) - x) / max(1.0, abs(x)))
+    for x in map(float, points):
+        w = lambert_wm1(x)
+        worst = max(worst, abs(w * math.exp(w) - x) / abs(x))
     report(
         7,
         "lambert w defining identity",
         worst <= 1e-12,
-        f"10000 log-spaced points in [-1/e+1e-12, 1e6], max residual {worst:.2e}",
+        f"{len(points)} points in [-1/e+1e-12, -1e-300], max residual {worst:.2e}",
     )
 
 

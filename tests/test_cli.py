@@ -540,14 +540,20 @@ def _src_env() -> dict:
     return dict(os.environ, PYTHONPATH=path)
 
 
-def test_cli_does_not_import_scipy_optimize(tmp_path):
-    # only bench/tracing.py and the tests resolve solver.minimize
+def test_cli_does_not_import_scipy(tmp_path):
+    # W-1 is math-only, and only bench/tracing.py and the tests resolve
+    # solver.minimize; the call counter (bound where bench/tracing.py
+    # patches lambert_wm1) shows the solve went through W-1
     path = write_config(tmp_path)
     code = (
-        "import sys, nomamec, nomamec.cli\n"
-        f"assert nomamec.cli.main(['solve', {path!r}, '--out', {str(tmp_path)!r}]) == 0\n"
-        "heavy = ('scipy.optimize', 'scipy.linalg')\n"
-        "print(sorted(m for m in sys.modules if m.startswith(heavy)))\n"
+        "import sys, nomamec.cli, nomamec.closed_form as cf\n"
+        "calls = []\n"
+        "wm1 = cf.lambert_wm1\n"
+        "cf.lambert_wm1 = lambda x: calls.append(x) or wm1(x)\n"
+        f"argv = ['solve', {path!r}, '--method', 'auto', '--out', {str(tmp_path)!r}]\n"
+        "assert nomamec.cli.main(argv) == 0\n"
+        "assert calls, 'the draw never reached lambert_wm1'\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=_src_env(), timeout=60)
