@@ -109,11 +109,10 @@ def solve_noma_partial(
     gains,
     config: ScenarioConfig,
     eps: float = 1e-4,
-    eps_feas: float = 1e-8,
     p_circuit: float = DEFAULT_CIRCUIT_POWER,
 ) -> SchemeResult:
     """Joint partition and power optimization over the shared band."""
-    res = bss_solve(gains, config, eps=eps, eps_feas=eps_feas)
+    res = bss_solve(gains, config, eps=eps)
     return _as_result(
         "noma-partial", res.optimal_delay, res.allocation, gains, config, p_circuit,
         res.iterations,
@@ -124,7 +123,6 @@ def solve_noma_full_offload(
     gains,
     config: ScenarioConfig,
     eps: float = 1e-4,
-    eps_feas: float = 1e-8,
     p_circuit: float = DEFAULT_CIRCUIT_POWER,
 ) -> SchemeResult:
     """Every task fully offloaded; only powers are optimized.
@@ -134,7 +132,7 @@ def solve_noma_full_offload(
     InfeasibleScenarioError when 60 tops are not.
     """
     ones = (1.0,) * config.num_users
-    res = bss_solve(gains, config, eps=eps, eps_feas=eps_feas, fixed_betas=ones)
+    res = bss_solve(gains, config, eps=eps, fixed_betas=ones)
     return _as_result(
         "noma-full", res.optimal_delay, res.allocation, gains, config, p_circuit,
         res.iterations,
@@ -146,7 +144,6 @@ def solve_ofdma_partial(
     config: ScenarioConfig,
     rb_count: int,
     eps: float = 1e-4,
-    eps_feas: float = 1e-8,
     p_circuit: float = DEFAULT_CIRCUIT_POWER,
 ) -> SchemeResult:
     """Orthogonal baseline: each user solved alone on its band share.
@@ -178,7 +175,7 @@ def solve_ofdma_partial(
     for i in range(m):
         sub = replace(config, bandwidth=share, users=(config.users[i],))
         sub_gain = ChannelRealization(gains=(g[i] * scale,))
-        res = bss_solve(sub_gain, sub, eps=eps, eps_feas=eps_feas)
+        res = bss_solve(sub_gain, sub, eps=eps)
         betas.append(res.allocation.betas[0])
         powers.append(res.allocation.powers[0])
         delay = max(delay, res.optimal_delay)

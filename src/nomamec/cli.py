@@ -106,29 +106,28 @@ def _apply_axis(config: ScenarioConfig, axis: str, value: float) -> ScenarioConf
     raise UsageError(f"unknown axis {axis!r}; choose from {AXES}")
 
 
-def _run_scheme(scheme: str, gains, config: ScenarioConfig, eps, eps_feas, p_circuit):
+def _run_scheme(scheme: str, gains, config: ScenarioConfig, eps, p_circuit):
     if scheme == "noma-partial":
-        return solve_noma_partial(gains, config, eps, eps_feas, p_circuit)
+        return solve_noma_partial(gains, config, eps, p_circuit)
     if scheme == "noma-full":
-        return solve_noma_full_offload(gains, config, eps, eps_feas, p_circuit)
+        return solve_noma_full_offload(gains, config, eps, p_circuit)
     if scheme == "ofdma-partial-1rb":
-        return solve_ofdma_partial(gains, config, 1, eps, eps_feas, p_circuit)
+        return solve_ofdma_partial(gains, config, 1, eps, p_circuit)
     if scheme == "ofdma-partial-mrb":
-        return solve_ofdma_partial(gains, config, config.num_users, eps, eps_feas, p_circuit)
+        return solve_ofdma_partial(gains, config, config.num_users, eps, p_circuit)
     if scheme == "local":
         return full_local_delay(config, p_circuit)
     raise UsageError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
 
 
-def _check_tolerances(eps: float, eps_feas: float) -> None:
-    """Reject a tolerance that is not finite and > 0 before any solve.
+def _check_tolerances(eps: float) -> None:
+    """Reject an eps that is not finite and > 0 before any solve.
 
-    The closed form and the local scheme use neither, so the solver's own
-    checks would not see it.
+    The closed form and the local scheme do not use it, so the solver's
+    own check would not see it.
     """
-    for name, value in (("eps", eps), ("eps_feas", eps_feas)):
-        if not 0.0 < value < math.inf:
-            raise UsageError(f"{name} must be finite and > 0, got {value}")
+    if not 0.0 < eps < math.inf:
+        raise UsageError(f"eps must be finite and > 0, got {eps}")
 
 
 def run_sweep(
@@ -138,7 +137,6 @@ def run_sweep(
     schemes: Sequence[str],
     n_seeds: int,
     eps: float = 1e-4,
-    eps_feas: float = 1e-8,
     p_circuit: float = 0.1,
     fixed_channels: bool = False,
     out_dir: str = ".",
@@ -164,7 +162,7 @@ def run_sweep(
         if s.startswith("ofdma") and loaded.config.server is not None:
             raise UsageError(f"scheme {s} has no server model; use a config without one")
     check_circuit_power(p_circuit)
-    _check_tolerances(eps, eps_feas)
+    _check_tolerances(eps)
     points = [_apply_axis(loaded.config, axis, value) for value in values]
     csv_path, mean_path, manifest_path = _make_out_dir(
         out_dir, [f"{basename}.csv", f"{basename}_mean.csv", f"{basename}_manifest.json"]
@@ -182,7 +180,7 @@ def run_sweep(
             cfg_run = reorder_users(cfg_point, realization)
             for scheme in schemes:
                 try:
-                    res = _run_scheme(scheme, realization, cfg_run, eps, eps_feas, p_circuit)
+                    res = _run_scheme(scheme, realization, cfg_run, eps, p_circuit)
                     rows.append(
                         (
                             axis, float(value), scheme, trial, res.delay, res.sum_rate,
@@ -229,7 +227,7 @@ def run_sweep(
             "schemes": list(schemes),
             "seeds": list(range(n_seeds)),
             "fixed_channels": fixed_channels,
-            "tolerances": {"eps": eps, "eps_feas": eps_feas},
+            "tolerances": {"eps": eps, "eps_feas": solver.EPS_FEAS},
             "p_circuit_w": p_circuit,
             "outputs": [os.path.basename(csv_path), os.path.basename(mean_path)],
         },
@@ -240,7 +238,7 @@ def run_sweep(
 def _cmd_solve(args) -> int:
     if args.trial < 0:
         raise UsageError(f"--trial must be >= 0, got {args.trial}")
-    _check_tolerances(args.eps, args.eps_feas)
+    _check_tolerances(args.eps)
     loaded = load_config(args.config)
     config = loaded.config
     seed = Seed(master=loaded.master_seed, trial=args.trial)
@@ -279,17 +277,15 @@ def _cmd_solve(args) -> int:
             # (with a binding energy budget the equal-time structure is
             # not optimal)
             if args.method == "auto" and (
-                max_violation(sol.delay, alloc, realization, cfg_run) > args.eps_feas
-                or solver.check_feasibility(
-                    sol.delay - args.eps, realization, cfg_run, args.eps_feas
-                ).feasible
+                max_violation(sol.delay, alloc, realization, cfg_run) > solver.EPS_FEAS
+                or solver.check_feasibility(sol.delay - args.eps, realization, cfg_run).feasible
             ):
                 sol = None
         if sol is not None:
             delay, iterations, case_label = sol.delay, 0, sol.case_label
             method = "closed-form"
         else:
-            res = bss_solve(realization, cfg_run, eps=args.eps, eps_feas=args.eps_feas)
+            res = bss_solve(realization, cfg_run, eps=args.eps)
             alloc, delay, iterations = res.allocation, res.optimal_delay, res.iterations
             method = "bss (closed-form fallback)" if args.method == "auto" and closed else "bss"
     except InfeasibleScenarioError as exc:
@@ -320,7 +316,7 @@ def _cmd_solve(args) -> int:
             "config": config_to_dict(config, loaded.master_seed),
             "trial": args.trial,
             "method": args.method,
-            "tolerances": {"eps": args.eps, "eps_feas": args.eps_feas},
+            "tolerances": {"eps": args.eps, "eps_feas": solver.EPS_FEAS},
             "outputs": ["solve.csv"],
         },
     )
@@ -342,7 +338,6 @@ def _cmd_sweep(args) -> int:
         schemes=schemes,
         n_seeds=args.seeds,
         eps=args.eps,
-        eps_feas=args.eps_feas,
         p_circuit=args.pc,
         fixed_channels=args.fixed_channels,
         out_dir=out_dir,
@@ -470,7 +465,6 @@ def _parser() -> argparse.ArgumentParser:
     p_solve.add_argument("config")
     p_solve.add_argument("--method", choices=("auto", "bss", "closed-form"), default="auto")
     p_solve.add_argument("--eps", type=float, default=1e-4)
-    p_solve.add_argument("--eps-feas", type=float, default=1e-8)
     p_solve.add_argument("--trial", type=int, default=0)
     p_solve.add_argument("--out", default=None)
     p_solve.set_defaults(func=_cmd_solve)
@@ -482,7 +476,6 @@ def _parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--schemes", default="noma-partial,noma-full")
     p_sweep.add_argument("--seeds", type=int, default=1)
     p_sweep.add_argument("--eps", type=float, default=1e-4)
-    p_sweep.add_argument("--eps-feas", type=float, default=1e-8)
     p_sweep.add_argument("--pc", type=float, default=0.1, help="circuit power in W")
     p_sweep.add_argument("--fixed-channels", action="store_true",
                          help="reuse each trial's channel draw across axis values")

@@ -8,8 +8,8 @@ transcendental "water level" solved by the Lambert W function. The
 optimizer enumerates the four candidate solutions (both powers at the
 cap, one energy budget tight, the other tight, both tight), recovers the
 ratios that end both users' local work at the window, keeps the
-candidates whose max_violation is within 1e-8, and returns the smallest
-delay.
+candidates whose max_violation is within solver.EPS_FEAS (1e-8), the
+bisection oracle's verdict threshold, and returns the smallest delay.
 
 A returned solution always realizes its reported delay: every user's
 local share finishes at the common window and the offloaded bits fit the
@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from . import solver
 from .lambertw import lambert_wm1
 from .model import ScenarioConfig, UsageError
 from .solver import _gain_tuple, _max_residual, _specs
@@ -39,7 +40,7 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _EXP_UNDERFLOW = -700.0  # exp() underflows to 0 below this
-_TOL = 1e-8  # power box pre-check (relative to p_max) and max_violation bound
+_BOX_TOL = 1e-8  # power box pre-check, relative to p_max
 
 
 class EqualTimeInfeasible(RuntimeError):
@@ -130,9 +131,9 @@ def solve_two_user(gains, config: ScenarioConfig) -> TwoUserSolution:
     local energy rates). A candidate is kept when its powers lie within
     1e-8 p_max of the box and, clipped to it, the allocation with
     beta_j = clip(1 - tau / T_j, 0, 1) at tau = a1 / (b1 + R) has
-    max_violation <= 1e-8. Raises EqualTimeInfeasible when none is kept,
-    and UsageError unless config has two users and no server and gains
-    are two ascending, finite, positive values.
+    max_violation <= solver.EPS_FEAS. Raises EqualTimeInfeasible when
+    none is kept, and UsageError unless config has two users and no
+    server and gains are two ascending, finite, positive values.
     """
     g, a1, b1, kf3 = _reduce(gains, config)
     specs = _specs(config)
@@ -148,7 +149,7 @@ def solve_two_user(gains, config: ScenarioConfig) -> TwoUserSolution:
         candidates.append(("Case4", p2c + delta, p2c))
 
     best = None
-    box = _TOL * pm
+    box = _BOX_TOL * pm
     for label, p1, p2 in candidates:
         if p1 is None or p2 is None or not (math.isfinite(p1) and math.isfinite(p2)):
             continue
@@ -167,7 +168,7 @@ def solve_two_user(gains, config: ScenarioConfig) -> TwoUserSolution:
         )
         # betas and powers lie in their box, so the box rows of max_violation
         # are <= 0 and its verdict is that of the (rate, local, energy) rows
-        if _max_residual(tau, tau, g, specs, config, betas, (p1, p2)) > _TOL:
+        if _max_residual(tau, tau, g, specs, config, betas, (p1, p2)) > solver.EPS_FEAS:
             continue
         best = TwoUserSolution(
             p1=p1, p2=p2, beta1=betas[0], beta2=betas[1], delay=tau, case_label=label

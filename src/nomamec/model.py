@@ -43,6 +43,14 @@ class UsageError(ValueError):
     """Raised when a caller violates a documented precondition."""
 
 
+def dbm_per_hz_to_watts(n0_dbm: float, bandwidth: float) -> float:
+    """Total noise power sigma^2 = N0 * B with N0 given in dBm/Hz; inf past the float range."""
+    try:
+        return 10.0 ** ((n0_dbm - 30.0) / 10.0) * bandwidth
+    except OverflowError:
+        return math.inf
+
+
 def _require_positive(**values: float) -> None:
     for name, value in values.items():
         if not (math.isfinite(value) and value > 0):
@@ -131,8 +139,11 @@ class ScenarioConfig:
             path_loss_exp=self.path_loss_exp,
             cell_radius=self.cell_radius,
         )
-        if not math.isfinite(self.noise_density_dbm):
-            raise UsageError("noise_density_dbm must be finite")
+        if not 0.0 < dbm_per_hz_to_watts(self.noise_density_dbm, self.bandwidth) < math.inf:
+            raise UsageError(
+                f"noise_density_dbm: the noise power N0 B must be finite and > 0, got "
+                f"{self.noise_density_dbm!r} dBm/Hz over {self.bandwidth!r} Hz"
+            )
         if not self.users:
             raise UsageError("users must be nonempty")
 

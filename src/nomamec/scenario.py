@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import ChannelRealization, ScenarioConfig
+from .model import ChannelRealization, ScenarioConfig, dbm_per_hz_to_watts
 
 __all__ = [
     "Seed",
@@ -45,11 +45,6 @@ def rng_for(seed: Seed, point: Optional[int] = None, user: Optional[int] = None)
         key = key + (user,)
     ss = np.random.SeedSequence(entropy=seed.master, spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))
-
-
-def dbm_per_hz_to_watts(n0_dbm: float, bandwidth: float) -> float:
-    """Total noise power sigma^2 = N0 * B with N0 given in dBm/Hz."""
-    return 10.0 ** ((n0_dbm - 30.0) / 10.0) * bandwidth
 
 
 def gains_from_draws(

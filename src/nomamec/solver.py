@@ -13,7 +13,7 @@ certification delay.
 Every oracle call is decided without an iterative optimizer, with or
 without an edge server, by the one verdict rule at the end of this
 docstring, so the reported delay is globally optimal within eps, up to
-that rule's eps_feas band. Without a server the
+that rule's EPS_FEAS band. Without a server the
 feasibility problem at a fixed trial delay is convex (the maximum
 normalized constraint violation is a convex function of (beta, p)). With
 a finite-capacity server the rate residual (alpha - c_s sum_j beta_j L_j)
@@ -76,7 +76,7 @@ as the one it was found at. Iterating W <- g(W) from W = 0 therefore
 rises through lower bounds of the least fixed point: by induction
 W_k <= W* for any W* with g(W*) <= W*, since g(W_k) <= g(W*) <= W*. The
 oracle stops feasible once the witness's max residual at its own window
-alpha - c_s sum_j beta_j L_j is <= eps_feas, and infeasible when the
+alpha - c_s sum_j beta_j L_j is <= EPS_FEAS, and infeasible when the
 next window is not positive, a pass fails, or W stops rising. Every pass
 that continues the loop raises W strictly while keeping it below
 alpha / c_s, so the loop ends after finitely many passes, though near
@@ -112,14 +112,16 @@ formula, but the halvings run unseeded.
 
 One verdict rule decides every call. Each branch builds its witness on
 the exact bounds, and the delay is feasible when that witness's max
-normalized residual is <= eps_feas. If the exact problem is feasible,
-the witness meets every constraint to rounding, so the verdict is
-feasible; a feasible verdict's witness violates no constraint by more
-than eps_feas. Inside the (0, eps_feas] band the verdict may go either
-way: it is not the minimax verdict (is the least max residual
-<= eps_feas?), which no branch computes. A bisection halving gets the
-same verdict as check_feasibility, without building the witness's
-Allocation.
+normalized residual is <= EPS_FEAS, one fixed threshold of 1e-8 that no
+caller sets. If the exact problem is feasible, the witness meets every
+constraint to rounding, so the verdict is feasible; a feasible verdict's
+witness violates no constraint by more than EPS_FEAS. Inside the
+(0, EPS_FEAS] band the verdict may go either way: it is not the minimax
+verdict (is the least max residual <= EPS_FEAS?), which no branch
+computes. A bisection halving gets the same verdict as
+check_feasibility, without building the witness's Allocation. The
+closed form's candidate filter and the command line's check on a closed
+form read the same threshold.
 """
 
 from __future__ import annotations
@@ -136,6 +138,7 @@ from .model import (
 )
 
 __all__ = [
+    "EPS_FEAS",
     "FeasibilityReport",
     "SolveResult",
     "InfeasibleScenarioError",
@@ -148,6 +151,7 @@ __all__ = [
 _LN2 = math.log(2.0)
 _NEWTON_MAX = 60
 _SEED_SPREAD = 1e-6  # the seed probes sit at alpha_r (1 +- this)
+EPS_FEAS = 1e-8  # the one verdict threshold: feasible iff the witness's residual <= this
 
 
 def __getattr__(name: str):
@@ -171,21 +175,23 @@ class FeasibilityReport:
     """Verdict of one oracle call.
 
     residual is the max normalized violation at the witness, and the call
-    is feasible when it is <= eps_feas, the one rule of every branch. For
+    is feasible when it is <= EPS_FEAS, the one rule of every branch. The
+    witness is always built: at alpha <= 0 it is every free ratio at 0
+    (pinned ones at their value) with zero power, residual inf. For
     the single-user branch the witness is the minimum-energy point, and
     for pinned ratios the point with every power at its energy cap. For
     the frontier pass a feasible witness is the least-bits end of the last
     frontier; an infeasible one is the point that comes closest to meeting
     the first prefix rate constraint the pass cannot meet (earlier users on
     the frontier, later users at their least share, powers at the energy
-    cap), and its residual, > eps_feas, bounds the minimax value from
+    cap), and its residual, > EPS_FEAS, bounds the minimax value from
     above. With a server the residual is taken at the witness's own rate
     window, alpha less the server time of its offloaded bits; an
     infeasible witness is the last pass of the fixed-point loop.
     """
 
     feasible: bool
-    witness: Optional[Allocation]
+    witness: Allocation
     residual: float
     # always 0, and uncertain always False: every verdict is exact; both
     # stay for bench/tracing.py (ROADMAP item 2 retires them)
@@ -502,11 +508,6 @@ def _pinned_ratios(fixed_betas, n: int) -> tuple:
     return betas
 
 
-def _check_eps_feas(eps_feas: float) -> None:
-    if not (math.isfinite(eps_feas) and eps_feas > 0):
-        raise UsageError("eps_feas must be finite and > 0")
-
-
 class _Oracle:
     """One scenario's oracle inputs, checked and precomputed once.
 
@@ -527,34 +528,34 @@ class _Oracle:
         self.specs = _specs(config)
         self.coef = _server_coef(config)
 
-    def report(self, alpha: float, eps_feas: float) -> FeasibilityReport:
+    def report(self, alpha: float) -> FeasibilityReport:
         """Verdict and witness at delay alpha."""
         if alpha <= 0.0:
             n = len(self.g)
             betas = (0.0,) * n if self.pinned is None else self.pinned
             return FeasibilityReport(False, Allocation(betas, (0.0,) * n), math.inf, 0)
-        betas, powers, residual = self._decide(alpha, eps_feas)
+        betas, powers, residual = self._decide(alpha)
         witness = Allocation(betas=tuple(betas), powers=tuple(powers))
-        return FeasibilityReport(residual <= eps_feas, witness, residual, 0)
+        return FeasibilityReport(residual <= EPS_FEAS, witness, residual, 0)
 
-    def holds(self, alpha: float, eps_feas: float) -> bool:
-        """report(alpha, eps_feas).feasible for alpha > 0, without building the report."""
-        return self._decide(alpha, eps_feas)[2] <= eps_feas
+    def holds(self, alpha: float) -> bool:
+        """report(alpha).feasible for alpha > 0, without building the report."""
+        return self._decide(alpha)[2] <= EPS_FEAS
 
-    def _decide(self, alpha: float, eps_feas: float) -> tuple:
+    def _decide(self, alpha: float) -> tuple:
         """(betas, powers, residual) of the branch's witness at delay alpha > 0."""
         g, config = self.g, self.config
         if self.pinned is not None:
             return _exact_pinned(alpha, g, self.specs, config, self.pinned)
         if len(g) == 1 and config.server is None:
             return _exact_single_user(alpha, g[0], self.specs, config)
-        return self._free_run(alpha, eps_feas)
+        return self._free_run(alpha)
 
-    def _free_run(self, alpha: float, eps_feas: float) -> tuple:
+    def _free_run(self, alpha: float) -> tuple:
         """Free ratios: frontier passes at the windows alpha - c_s W.
 
         W <- U_min from W = 0 (one pass without a server) until the
-        witness's residual at its own window is <= eps_feas, a pass fails,
+        witness's residual at its own window is <= EPS_FEAS, a pass fails,
         W stops rising or the next window is not positive. Returns
         (betas, powers, residual).
         """
@@ -565,7 +566,7 @@ class _Oracle:
             bits = coef and _offloaded_bits(specs, betas)  # 0, one pass, without a server
             own = alpha - coef * bits
             residual = _max_residual(alpha, own, g, specs, config, betas, powers)
-            if residual <= eps_feas or not feasible or bits <= total or own <= 0.0:
+            if residual <= EPS_FEAS or not feasible or bits <= total or own <= 0.0:
                 return betas, powers, residual
             total, window = bits, own
 
@@ -574,13 +575,12 @@ def check_feasibility(
     alpha: float,
     gains,
     config: ScenarioConfig,
-    eps_feas: float = 1e-8,
     fixed_betas: Optional[Sequence[float]] = None,
 ) -> FeasibilityReport:
     """Decide whether any allocation meets every constraint at delay alpha.
 
     Returns a report whose witness attains the reported max violation;
-    the call is feasible when that violation is <= eps_feas. Every
+    the call is feasible when that violation is <= EPS_FEAS (1e-8). Every
     witness is built on the exact bounds in scalar arithmetic. With
     ``fixed_betas`` (one ratio in [0, 1] per user, else UsageError) the
     powers at their energy caps decide it. Free ratios are decided in
@@ -592,22 +592,20 @@ def check_feasibility(
     """
     if not math.isfinite(alpha):
         raise UsageError(f"alpha must be finite, got {alpha!r}")
-    _check_eps_feas(eps_feas)
-    return _Oracle(gains, config, fixed_betas).report(alpha, eps_feas)
+    return _Oracle(gains, config, fixed_betas).report(alpha)
 
 
 def bss_solve(
     gains,
     config: ScenarioConfig,
     eps: float = 1e-4,
-    eps_feas: float = 1e-8,
     fixed_betas: Optional[Sequence[float]] = None,
 ) -> SolveResult:
     """Least common delay by bisection on the feasibility oracle.
 
     Every oracle call, with or without a server, is decided by the one
     verdict rule of the module docstring, so the delay is globally
-    optimal within eps, up to the (0, eps_feas] band of that rule.
+    optimal within eps, up to the (0, EPS_FEAS] band of that rule.
 
     The bracket runs from 0 to the fully-local time T_max; with pinned
     ratios the top doubles while infeasible, trying T_max 2^k, k < 60.
@@ -634,13 +632,12 @@ def bss_solve(
     """
     if not (math.isfinite(eps) and eps > 0):
         raise UsageError("eps must be finite and > 0")
-    _check_eps_feas(eps_feas)
     oracle = _Oracle(gains, config, fixed_betas)
     lo, t_max = init_bounds(config)
     # pinned ratios: T_max bounds nothing, so try the tops T_max 2^k
     for k in range(1 if oracle.pinned is None else 60):
         hi = t_max * 2.0**k
-        top = check_feasibility(hi, gains, config, eps_feas, fixed_betas=fixed_betas)
+        top = check_feasibility(hi, gains, config, fixed_betas)
         if top.feasible:
             break
     else:
@@ -654,7 +651,7 @@ def bss_solve(
         alpha_r, exact = _relaxed_delay(oracle.g, oracle.specs, config, oracle.pinned)
         if exact and lo < alpha_r < hi:
             for probe in (alpha_r * (1.0 + _SEED_SPREAD), alpha_r * (1.0 - _SEED_SPREAD)):
-                if oracle.holds(probe, eps_feas):
+                if oracle.holds(probe):
                     yes_from = min(yes_from, probe)
                 else:
                     no_to = max(no_to, probe)
@@ -668,7 +665,7 @@ def bss_solve(
         elif mid <= no_to:
             feasible = False
         else:
-            feasible = oracle.holds(mid, eps_feas)
+            feasible = oracle.holds(mid)
         trace.append((mid, feasible))
         if feasible:
             hi = mid
@@ -679,15 +676,15 @@ def bss_solve(
     # alpha* + eps rounds to alpha* when eps is below the bracket's float
     # spacing, and alpha* may be its infeasible end; hi is always feasible
     at = max(alpha_star + eps, hi)
-    cert = check_feasibility(at, gains, config, eps_feas, fixed_betas=fixed_betas)
+    cert = check_feasibility(at, gains, config, fixed_betas)
     if cert.feasible:
         witness = cert.witness
         residual = cert.residual
         converged = True
     else:
-        witness = check_feasibility(hi, gains, config, eps_feas, fixed_betas=fixed_betas).witness
+        witness = check_feasibility(hi, gains, config, fixed_betas).witness
         residual = max_violation(at, witness, gains, config)
-        converged = residual <= eps_feas
+        converged = residual <= EPS_FEAS
     return SolveResult(
         optimal_delay=alpha_star,
         allocation=witness,

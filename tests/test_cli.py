@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -106,7 +107,7 @@ class TestBadNumbers:
         assert main(["solve", str(path), "--out", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--eps", "--eps-feas"])
+    @pytest.mark.parametrize("flag", ["--eps"])
     def test_non_finite_tolerance_exit_2(self, tmp_path, capsys, flag):
         path = write_config(tmp_path)
         assert main(["solve", path, "--method", "bss", flag, "nan", "--out", str(tmp_path)]) == 2
@@ -120,9 +121,9 @@ class TestBadNumbers:
         ("solve", "--method", "closed-form"),
         ("sweep", "--axis", "p_max", "--values", "0.01", "--schemes", "local"),
     ])
-    @pytest.mark.parametrize("flag", ["--eps", "--eps-feas"])
+    @pytest.mark.parametrize("flag", ["--eps"])
     def test_unused_non_finite_tolerance_exit_2(self, tmp_path, capsys, flag, command):
-        # the closed form and the local scheme use neither tolerance:
+        # the closed form and the local scheme do not use eps:
         # --eps inf used to exit 0 and write eps: inf to the manifest
         path = write_config(tmp_path)
         out = tmp_path / "out"
@@ -130,6 +131,40 @@ class TestBadNumbers:
         assert main(argv) == 2
         assert "eps" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ("solve", "--method", "bss"),
+        ("sweep", "--axis", "p_max", "--values", "0.01", "--schemes", "noma-full"),
+    ])
+    def test_eps_feas_is_fixed(self, tmp_path, capsys, command):
+        # the verdict threshold is no option; manifests still record it
+        path = write_config(tmp_path)
+        out = tmp_path / "out"
+        argv = [command[0], path, *command[1:], "--eps", "1e-3", "--out", str(out)]
+        assert main(argv) == 0
+        manifest = json.loads((out / f"{command[0]}_manifest.json").read_text())
+        assert manifest["tolerances"] == {"eps": 1e-3, "eps_feas": 1e-8}
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--eps-feas", "1e-16"])
+        assert exc.value.code == 2
+        assert "--eps-feas" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("noise", [3200, -1e308])
+    @pytest.mark.parametrize("command", [
+        ("solve",), ("sweep", "--axis", "p_max", "--values", "0.01"), ("verify",),
+    ])
+    def test_noise_power_out_of_range_exit_2(self, tmp_path, capsys, monkeypatch, command,
+                                             noise):
+        # 3200 dBm/Hz overflowed in the dBm conversion (an OverflowError
+        # traceback); at -1e308 the noise power was 0 and the gains divided
+        # by it with a RuntimeWarning
+        monkeypatch.setenv("NOMAMEC_OUT", str(tmp_path))
+        path = write_config(tmp_path, noise_density_dbm=noise)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command[0], path, *command[1:]]) == 2
+        assert not caught, [str(w.message) for w in caught]
+        assert "noise_density_dbm" in capsys.readouterr().err
 
     def test_negative_distance_is_config_error(self, tmp_path):
         users = [{"task_bits": 1.6e6, "cycles_per_bit": 1e3, "cpu_freq_hz": 1e9,

@@ -21,6 +21,7 @@ from nomamec import (
     check_feasibility,
     max_violation,
 )
+from nomamec import solver
 from nomamec.cli import run_sweep
 from nomamec.configio import LoadedScenario
 from conftest import (
@@ -86,7 +87,7 @@ def test_witness_attains_the_reported_residual(no_slsqp):
         t_top = max(u.local_full_time for u in cfg.users)
         n = cfg.num_users
         for alpha in t_top * 10 ** rng.uniform(-1.5, 0.1, 4):
-            rep = check_feasibility(float(alpha), realization, cfg, eps_feas=1e-8)
+            rep = check_feasibility(float(alpha), realization, cfg)
             viol = residuals(float(alpha), realization, cfg, rep.witness.betas, rep.witness.powers)
             assert rep.residual == pytest.approx(viol[:3 * n].max(), abs=1e-12)
             if rep.feasible:
@@ -95,17 +96,19 @@ def test_witness_attains_the_reported_residual(no_slsqp):
     assert feasible >= 100
 
 
-def test_verdict_rule_at_a_wide_band(no_slsqp):
-    # at eps_feas 1e-2 the band moves the boundary by about a percent.
-    # The verdict (is the unrelaxed witness's max residual <= eps_feas?)
+def test_verdict_rule_at_a_wide_band(no_slsqp, monkeypatch):
+    # at EPS_FEAS 1e-2 the band moves the boundary by about a percent.
+    # The verdict (is the unrelaxed witness's max residual <= EPS_FEAS?)
     # may part from the minimax one only inside the band: a feasible
     # witness stays within it, an exactly feasible delay stays feasible,
     # and a delay whose minimax value is past the band stays infeasible
     checked = beyond = 0
-    for realization, cfg, opt in solved_draws(8, 505, users=(2, 5)):
+    draws = list(solved_draws(8, 505, users=(2, 5)))  # optima at the default threshold
+    monkeypatch.setattr(solver, "EPS_FEAS", 1e-2)
+    for realization, cfg, opt in draws:
         for f in (0.9, 0.95, 0.98, 0.99, 0.997, 1.003):
             alpha = opt * f
-            rep = check_feasibility(alpha, realization, cfg, eps_feas=1e-2)
+            rep = check_feasibility(alpha, realization, cfg)
             if rep.feasible:
                 assert max_violation(alpha, rep.witness, realization, cfg) <= 1e-2, (f, cfg)
             if f > 1.0:

@@ -85,7 +85,7 @@ def test_witness_meets_the_model_delay(no_slsqp):
     solved = 0
     for realization, cfg in server_draws(40, 808):
         try:
-            res = bss_solve(realization, cfg, eps=eps, eps_feas=eps_feas)
+            res = bss_solve(realization, cfg, eps=eps)
         except InfeasibleScenarioError:
             continue
         solved += 1

@@ -88,7 +88,7 @@ def test_scalar_branch_matches_the_numpy_reference():
             # ulp apart (log1p against log2), may fall either side of eps_feas
             factors = (0.5, 1.0 - 1e-6, 1.0 + 1e-6, 2.0)
         for alpha in (top * f for f in factors):
-            rep = check_feasibility(float(alpha), realization, cfg, 1e-8, fixed_betas=betas)
+            rep = check_feasibility(float(alpha), realization, cfg, fixed_betas=betas)
             powers, residual = reference(float(alpha), realization, cfg, betas)
             assert rep.feasible == (residual <= 1e-8), (alpha, cfg, betas)
             assert rep.witness.betas == betas

@@ -87,7 +87,7 @@ def test_witness_meets_every_constraint(no_slsqp):
     for gains, cfg in single_user_draws(150, 78):
         t_loc = cfg.users[0].local_full_time
         for alpha in t_loc * 10 ** rng.uniform(-1.5, 0.2, 4):
-            rep = check_feasibility(float(alpha), gains, cfg, eps_feas=1e-8)
+            rep = check_feasibility(float(alpha), gains, cfg)
             viol = residuals(float(alpha), gains, cfg, rep.witness.betas, rep.witness.powers)
             assert rep.residual == pytest.approx(viol[:3].max(), abs=1e-12)
             if rep.feasible:

@@ -271,8 +271,7 @@ class TestBisection:
 
     @pytest.mark.parametrize(
         "tolerances",
-        [dict(eps=0.0), dict(eps=math.nan), dict(eps=math.inf), dict(eps_feas=math.nan),
-         dict(eps_feas=math.inf)],
+        [dict(eps=0.0), dict(eps=math.nan), dict(eps=math.inf)],
     )
     def test_bad_tolerances_rejected(self, s1, tolerances):
         realization, cfg = s1
