@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import ChannelRealization, ScenarioConfig, dbm_per_hz_to_watts
+from .model import ChannelRealization, ScenarioConfig, UsageError, dbm_per_hz_to_watts
 
 __all__ = [
     "Seed",
@@ -50,10 +50,21 @@ def rng_for(seed: Seed, point: Optional[int] = None, user: Optional[int] = None)
 def gains_from_draws(
     distances: np.ndarray, fading_power: np.ndarray, config: ScenarioConfig
 ) -> np.ndarray:
-    """Noise-normalized gains |g|^2 (1 + d^alpha)^-1 / sigma^2, unsorted."""
+    """Noise-normalized gains |g|^2 (1 + d^alpha)^-1 / sigma^2, unsorted.
+
+    A noise power so small that a gain overflows is a UsageError naming
+    noise_density_dbm; whether one does depends on the draw.
+    """
     sigma2 = dbm_per_hz_to_watts(config.noise_density_dbm, config.bandwidth)
     path = 1.0 + np.asarray(distances, dtype=float) ** config.path_loss_exp
-    return np.asarray(fading_power, dtype=float) / (path * sigma2)
+    with np.errstate(over="ignore"):
+        gains = np.asarray(fading_power, dtype=float) / (path * sigma2)
+    if not np.isfinite(gains).all():
+        raise UsageError(
+            f"noise_density_dbm: the noise power N0 B = {sigma2!r} W is so small that a "
+            f"channel gain overflows ({config.noise_density_dbm!r} dBm/Hz)"
+        )
+    return gains
 
 
 def generate_channels(

@@ -83,32 +83,71 @@ alpha / c_s, so the loop ends after finitely many passes, though near
 the optimum it may take a thousand or more of them (each O(M^2) scalar
 steps). With no server c_s = 0 and the loop is the single pass above.
 
-Without a server the bisection is seeded by the energy-relaxed delay.
-Drop the energy budgets: more power and less offloading then only help,
-so every power sits at p_max and every free ratio at its local-time
-floor (1 - alpha/T_j)^+. Prefix m needs h_m(alpha) = alpha R_m -
-sum_{j<=m} L_j (1 - alpha/T_j)^+ >= 0, with R_m = B log2(1 + p_max
-sum_{j<=m} g_j). h_m is increasing and piecewise linear with breaks at
-the T_j, and its root is alpha_m = sum_A L_j / (R_m + sum_A L_j/T_j),
+The bisection is seeded by the energy-relaxed delay alpha_r. Drop the
+energy budgets and the server: more power and less offloading then only
+help, so every power sits at p_max and every free ratio at its
+local-time floor (1 - alpha/T_j)^+. Prefix m needs h_m(alpha) =
+alpha R_m - sum_{j<=m} L_j (1 - alpha/T_j)^+ >= 0, with R_m = B log2(1 +
+p_max sum_{j<=m} g_j). h_m is increasing and piecewise linear with
+breaks at the T_j, and its root is alpha_m = sum_A L_j / (R_m + sum_A L_j/T_j),
 A being the users j <= m with T_j > alpha_m. Every set's line lies on or
 above h_m, so starting from all users and dropping those with T_j at or
 below the current root raises the root to alpha_m. With pinned ratios
 the relaxed delay is the larger of max_j T_j (1 - beta_j) and max_m
 sum_{j<=m} beta_j L_j / R_m. The relaxed problem admits every
-allocation the true one does, so alpha_r = max_m alpha_m bounds the
-optimum from below. It is the optimum when its allocation meets every
-budget at alpha_r: E_j min(1, alpha_r/T_j) + alpha_r p_max <= e_max, or
-E_j (1 - beta_j) + alpha_r p_max <= e_max for pinned ratios. For two
-users and free ratios that is the closed form's Case1. When alpha_r is
-the optimum, bss_solve asks the oracle at alpha_r (1 + 1e-6) and
-alpha_r (1 - 1e-6) before halving. A halving at or above the least
-probe found feasible is feasible, one at or below the greatest probe
-found infeasible is infeasible, and any other asks the oracle. Each
-verdict is thus an oracle verdict or follows from one by the
-monotonicity the bisection already relies on, so the trace and the
-delay are those of the unseeded bisection, and a wrong alpha_r could
-only cost calls. With a server the window alpha - c_s W extends the
-formula, but the halvings run unseeded.
+allocation the true one does, with or without a server (a server only
+narrows the rate window), so alpha_r = max_m alpha_m bounds the optimum
+from below. Without a server it is the optimum when its allocation meets
+every budget at alpha_r: E_j min(1, alpha_r/T_j) + alpha_r p_max <=
+e_max, or E_j (1 - beta_j) + alpha_r p_max <= e_max for pinned ratios;
+alpha_r is then called exact. For two users and free ratios that is the
+closed form's Case1.
+
+Two certificates turn alpha_r into verdicts that cost no oracle call.
+Each certified verdict is the oracle's own, so the trace, the delay and
+the allocation are those of plain bisection; with slack budgets a solve
+asks the oracle once, for its certification.
+
+Upper certificate. When alpha_r is exact and there is no server, every
+delay alpha >= alpha_r (1 + 1e-6) is feasible: keep alpha_r's ratios and
+scale its powers by s = alpha_r / alpha <= 1. The energies stay the
+same, no local time rises, and since R is concave with R(0) = 0 each rate
+term becomes alpha R(s p) >= alpha s R(p) = alpha_r R(p). The exact
+problem is feasible there, so the verdict is feasible (the rule below);
+the 1e-6 margin covers rounding in alpha_r. bss_solve takes that delay as
+its feasible end and asks no oracle for a bracket top or halving at or
+above it, free or pinned.
+
+Lower certificate. _relaxed_residual(alpha) is the max rate row of the
+relaxed allocation: every power at p_max, the rate window alpha, free
+ratios at the frontier pass's floors max(0, 1 - alpha/T_j, 1 -
+e_max/E_j), pinned ratios at their value with their local rows too. No
+witness any branch builds at alpha has a smaller residual, in floats:
+the bound keeps _max_residual's expression order, and rounding is
+monotone, so a row cannot fall when its prefix bits do not fall and its
+window times rate does not rise. Per branch:
+- frontier pass (two or more users, no server): each ratio is its floor
+  plus offloaded bits, capped at 1, each power is capped at p_max, and
+  the window is alpha, so every rate row is at least the bound's;
+- fixed point (a server): the last pass's witness, with the same floors
+  and caps, at its own window alpha - c_s W <= alpha;
+- pinned ratios: the same ratios, so the local rows are equal, powers at
+  their energy caps, at most p_max, and the window alpha less a
+  nonnegative server time;
+- one user, free ratio, no server: the witness's share is beta(p) =
+  min(1, alpha R(p) / L) at some p <= p_max, so it is at most beta(p_max)
+  and its local row is at least the local row at beta(p_max), which is
+  the bound here. The rate row at the floors would equal it in exact
+  arithmetic, but it is not ordered against the witness's local row in
+  floats, and this witness does not floor its share by the energy
+  budget.
+The bound does not rise with alpha (the floors and the local rows fall,
+alpha R rises), so once it exceeds EPS_FEAS every smaller delay is
+infeasible too. bss_solve evaluates it at alpha_r (1 - 1e-6), with or
+without a server and whether or not alpha_r is exact, and at each halving
+that neither end decides, before it asks the oracle. A pinned top T_max
+2^k at or below that delay is infeasible without a call, but the last top
+is always asked, so its residual names a failure.
 
 One verdict rule decides every call. Each branch builds its witness on
 the exact bounds, and the delay is feasible when that witness's max
@@ -150,7 +189,7 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _NEWTON_MAX = 60
-_SEED_SPREAD = 1e-6  # the seed probes sit at alpha_r (1 +- this)
+_SEED_SPREAD = 1e-6  # the certificates start at alpha_r (1 +- this)
 EPS_FEAS = 1e-8  # the one verdict threshold: feasible iff the witness's residual <= this
 
 
@@ -469,7 +508,9 @@ def _relaxed_delay(g, specs, config: ScenarioConfig, pinned=None) -> tuple:
             snr += gain * p_max
             bits += beta * size
             rate = band * math.log1p(snr) / _LN2
-            alpha_r = max(alpha_r, t_loc * (1.0 - beta), bits / rate)
+            if bits > 0.0:  # a rate that underflows to 0 carries no bits in any time
+                alpha_r = max(alpha_r, bits / rate if rate > 0.0 else math.inf)
+            alpha_r = max(alpha_r, t_loc * (1.0 - beta))
         local = [1.0 - beta for beta in pinned]
     else:
         prefix = []
@@ -483,7 +524,7 @@ def _relaxed_delay(g, specs, config: ScenarioConfig, pinned=None) -> tuple:
             while True:
                 root = sum(s for s, _ in active) / (rate + sum(s / t for s, t in active))
                 kept = [(s, t) for s, t in active if t > root]
-                if len(kept) == len(active):
+                if len(kept) in (0, len(active)):  # none left only when the rate is 0
                     break
                 active = kept
             alpha_r = max(alpha_r, root)
@@ -493,6 +534,40 @@ def _relaxed_delay(g, specs, config: ScenarioConfig, pinned=None) -> tuple:
         for (_, _, e_loc), share in zip(specs, local)
     )
     return alpha_r, exact
+
+
+def _relaxed_residual(alpha: float, g, specs, config: ScenarioConfig, pinned=None) -> float:
+    """A lower bound on the residual of every oracle witness at delay alpha > 0.
+
+    The max rate row of the relaxed allocation: every power at p_max, the
+    rate window alpha, the free ratios at the frontier pass's floors and
+    pinned ratios at their value, which also get their local rows. One user
+    with a free ratio and no server takes the local row at the largest
+    share p_max allows instead. Each row keeps _max_residual's expression
+    order, so the bound holds in floats, and it does not rise with alpha
+    (see the module docstring).
+    """
+    band, p_max = config.bandwidth, config.p_max
+    if pinned is None and len(g) == 1 and config.server is None:
+        ((size, t_loc, _),) = specs
+        rate = band * math.log1p(g[0] * p_max) / _LN2
+        beta = min(1.0, alpha * rate / size)
+        return (t_loc * (1.0 - beta) - alpha) / t_loc
+    t_max = max(t_loc for _, t_loc, _ in specs)
+    bits = snr = prefix = 0.0
+    worst = -math.inf
+    for j, ((size, t_loc, e_loc), gain) in enumerate(zip(specs, g)):
+        if pinned is None:
+            beta = max(0.0, 1.0 - alpha / t_loc, 1.0 - config.e_max / e_loc)
+        else:
+            beta = pinned[j]
+            worst = max(worst, (t_loc * (1.0 - beta) - alpha) / t_max)
+        bits += beta * size
+        snr += gain * p_max
+        prefix += size
+        rate = band * math.log1p(snr) / _LN2
+        worst = max(worst, (bits - alpha * rate) / prefix)
+    return worst
 
 
 def _pinned_ratios(fixed_betas, n: int) -> tuple:
@@ -612,18 +687,18 @@ def bss_solve(
 
     Performs ceil(log2(bracket / eps)) halvings, fewer only when no float
     lies strictly between the bracket's ends. The halvings are
-    verdict-only: no allocation is built. Without a server, when the
-    energy-relaxed delay alpha_r is the optimum and lies inside the
-    bracket, two oracle probes at alpha_r (1 +- 1e-6) decide every
-    halving outside that interval (see the module docstring); the trace,
-    the delay and the allocation are those of the unseeded halvings, and
-    with slack budgets a solve takes four oracle calls in all.
-    check_feasibility decides the bracket top and certifies the returned
-    allocation with one extra call at the reported delay plus eps (or at
-    the bracket's feasible end, if that is later, as when eps is below
-    the float spacing), so the stored residual is meaningful at that
-    level; should that call fail, the witness is rebuilt at the bracket's
-    feasible end.
+    verdict-only: no allocation is built. The two certificates of the
+    module docstring, both from the energy-relaxed delay alpha_r, decide
+    a halving or a bracket top without an oracle call: feasible at or
+    above alpha_r (1 + 1e-6) when alpha_r is exact and there is no
+    server, infeasible where the relaxed residual exceeds EPS_FEAS. The
+    trace, the delay and the allocation are those of plain bisection.
+    check_feasibility decides each bracket top no certificate decides
+    and certifies the returned allocation with one call at the reported
+    delay plus eps (or at the bracket's feasible end, if that is later,
+    as when eps is below the float spacing), so the stored residual is
+    meaningful at that level; should that call fail, the witness is
+    rebuilt at the bracket's feasible end.
 
     Raises InfeasibleScenarioError, naming the last top tried, when no
     top is feasible. T_max bounds a free-ratio optimum when every user's
@@ -633,10 +708,27 @@ def bss_solve(
     if not (math.isfinite(eps) and eps > 0):
         raise UsageError("eps must be finite and > 0")
     oracle = _Oracle(gains, config, fixed_betas)
+    g, specs, pinned = oracle.g, oracle.specs, oracle.pinned
     lo, t_max = init_bounds(config)
-    # pinned ratios: T_max bounds nothing, so try the tops T_max 2^k
-    for k in range(1 if oracle.pinned is None else 60):
+    # the certificates of the module docstring: every delay from yes_from
+    # up is feasible, every delay up to no_to infeasible, with no oracle call
+    yes_from, no_to = math.inf, lo
+    alpha_r, exact = _relaxed_delay(g, specs, config, pinned)
+    if 0.0 < alpha_r < math.inf:  # else a rate over- or underflowed: certify nothing
+        if exact and config.server is None:
+            yes_from = alpha_r * (1.0 + _SEED_SPREAD)
+        below = alpha_r * (1.0 - _SEED_SPREAD)
+        if _relaxed_residual(below, g, specs, config, pinned) > EPS_FEAS:
+            no_to = below
+    # pinned ratios: T_max bounds nothing, so try the tops T_max 2^k; the
+    # last top is always asked, so its residual names the failure
+    tops = 1 if pinned is None else 60
+    for k in range(tops):
         hi = t_max * 2.0**k
+        if hi >= yes_from:
+            break
+        if hi <= no_to and k < tops - 1:
+            continue
         top = check_feasibility(hi, gains, config, fixed_betas)
         if top.feasible:
             break
@@ -645,16 +737,6 @@ def bss_solve(
             f"no feasible allocation at the bracket top {hi:.6g} s "
             f"(max violation {top.residual:.3g})"
         )
-    # the least delay a seed probe found feasible, the greatest it found infeasible
-    yes_from, no_to = hi, lo
-    if config.server is None:
-        alpha_r, exact = _relaxed_delay(oracle.g, oracle.specs, config, oracle.pinned)
-        if exact and lo < alpha_r < hi:
-            for probe in (alpha_r * (1.0 + _SEED_SPREAD), alpha_r * (1.0 - _SEED_SPREAD)):
-                if oracle.holds(probe):
-                    yes_from = min(yes_from, probe)
-                else:
-                    no_to = max(no_to, probe)
     trace = []
     while hi - lo > eps:
         mid = 0.5 * (lo + hi)
@@ -665,7 +747,10 @@ def bss_solve(
         elif mid <= no_to:
             feasible = False
         else:
-            feasible = oracle.holds(mid)
+            feasible = (
+                _relaxed_residual(mid, g, specs, config, pinned) <= EPS_FEAS
+                and oracle.holds(mid)
+            )
         trace.append((mid, feasible))
         if feasible:
             hi = mid

@@ -149,7 +149,7 @@ class TestBadNumbers:
         assert exc.value.code == 2
         assert "--eps-feas" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("noise", [3200, -1e308])
+    @pytest.mark.parametrize("noise", [3200, -1e308, -3200])
     @pytest.mark.parametrize("command", [
         ("solve",), ("sweep", "--axis", "p_max", "--values", "0.01"), ("verify",),
     ])
@@ -157,7 +157,8 @@ class TestBadNumbers:
                                              noise):
         # 3200 dBm/Hz overflowed in the dBm conversion (an OverflowError
         # traceback); at -1e308 the noise power was 0 and the gains divided
-        # by it with a RuntimeWarning
+        # by it with a RuntimeWarning; at -3200 it is subnormal, and the
+        # gains overflowed with a RuntimeWarning and an error naming no field
         monkeypatch.setenv("NOMAMEC_OUT", str(tmp_path))
         path = write_config(tmp_path, noise_density_dbm=noise)
         with warnings.catch_warnings(record=True) as caught:

@@ -2,12 +2,18 @@
 
 Their verdicts must equal check_feasibility's, most of all near the
 optimum: both run the branch once on the exact bounds and apply the one
-verdict rule (is the witness's max residual <= EPS_FEAS?). A halving the
-seed probes decide takes its verdict from a probe by monotonicity, so the
-draws include slack budgets, where the relaxed delay is exact and seeds
-the bisection, and pinned ratios.
+verdict rule (is the witness's max residual <= EPS_FEAS?). Two
+certificates decide a halving without asking the oracle at all: the
+upper one when the energy-relaxed delay alpha_r is exact and the halving
+lies at or above alpha_r (1 + 1e-6), the lower one when the relaxed
+residual at the halving exceeds EPS_FEAS. So the draws include slack
+budgets, where alpha_r is exact, binding budgets, pinned ratios and
+servers, at thresholds patched across 1e-8..1e-2 and at the default, and
+every solve must ask the oracle for exactly the halvings neither
+certificate decides.
 """
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -17,10 +23,22 @@ from nomamec import solver
 from conftest import draw_envelope_scenario
 
 
-def test_halving_verdicts_equal_check_feasibility(monkeypatch):
-    rng = np.random.default_rng(31)
-    near = servers = seeded = swallowed = 0
-    for _ in range(80):
+def compare_halvings(rng, draws, monkeypatch, patch_threshold):
+    """Solve envelope draws; check every halving's verdict and oracle call.
+
+    Returns counts: halvings near the optimum, server solves, and solves
+    with a halving decided by the upper and by the lower certificate.
+    """
+    calls = []
+    holds = solver._Oracle.holds
+
+    def counting(self, alpha):
+        calls.append(alpha)
+        return holds(self, alpha)
+
+    monkeypatch.setattr(solver._Oracle, "holds", counting)
+    seen = Counter()
+    for _ in range(draws):
         m = int(rng.integers(1, 9))
         realization, cfg = draw_envelope_scenario(rng, n_users=m)
         if rng.random() < 0.5:
@@ -29,27 +47,47 @@ def test_halving_verdicts_equal_check_feasibility(monkeypatch):
             cpu = float(10 ** rng.uniform(9.5, 10.5))
             cfg = replace(cfg, server=ServerSpec(cycles_per_bit=1e3, cpu_freq=cpu, kappa=1e-28))
         pinned = tuple(rng.uniform(0.0, 1.0, m)) if rng.random() < 0.25 else None
-        eps_feas = float(10 ** rng.uniform(-8, -2))
-        monkeypatch.setattr(solver, "EPS_FEAS", eps_feas)
+        if patch_threshold:
+            monkeypatch.setattr(solver, "EPS_FEAS", float(10 ** rng.uniform(-8, -2)))
         t_max = max(u.local_full_time for u in cfg.users)
+        calls.clear()
         try:
             res = bss_solve(realization, cfg, eps=1e-9 * t_max, fixed_betas=pinned)
         except InfeasibleScenarioError:
             continue
-        servers += cfg.server is not None
+        seen["servers"] += cfg.server is not None
+        oracle = solver._Oracle(realization, cfg, pinned)
+        alpha_r, exact = solver._relaxed_delay(oracle.g, oracle.specs, cfg, oracle.pinned)
+        yes_from = alpha_r * (1.0 + solver._SEED_SPREAD) if exact and not cfg.server else np.inf
+        upper = lower = 0
+        asked = []
         for alpha, verdict in res.trace:
             expected = check_feasibility(alpha, realization, cfg, pinned).feasible
-            assert verdict == expected, (m, cfg.server, pinned, alpha, eps_feas)
-            near += abs(alpha / res.optimal_delay - 1.0) <= 1e-2
-        if cfg.server is None:
-            oracle = solver._Oracle(realization, cfg, pinned)
-            alpha_r, exact = solver._relaxed_delay(oracle.g, oracle.specs, cfg, pinned)
-            if exact and alpha_r < t_max:
-                seeded += 1
-                below = alpha_r * (1.0 - solver._SEED_SPREAD)
-                # within the EPS_FEAS band the lower probe reads feasible
-                swallowed += check_feasibility(below, realization, cfg, pinned).feasible
+            assert verdict == expected, (m, cfg.server, pinned, alpha, solver.EPS_FEAS)
+            seen["near"] += abs(alpha / res.optimal_delay - 1.0) <= 1e-2
+            if alpha >= yes_from:
+                upper += 1
+            elif solver._relaxed_residual(
+                alpha, oracle.g, oracle.specs, cfg, oracle.pinned
+            ) > solver.EPS_FEAS:
+                lower += 1
+            else:
+                asked.append(alpha)
+        # the certified halvings ask no oracle; every other one asks once
+        assert calls == asked, (m, cfg.server, pinned)
+        seen["upper"] += upper > 0
+        seen["lower"] += lower > 0
+    return seen
+
+
+def test_halving_verdicts_equal_check_feasibility(monkeypatch):
+    seen = compare_halvings(np.random.default_rng(31), 80, monkeypatch, patch_threshold=True)
     # the later halvings sit within 1e-2 down to 1e-9 of the optimum
-    assert near >= 1200 and servers >= 15
-    # both probe outcomes below alpha_r occur among the seeded solves
-    assert seeded >= 20 and 5 <= swallowed < seeded, (seeded, swallowed)
+    assert seen["near"] >= 1200 and seen["servers"] >= 15, seen
+    assert seen["upper"] >= 15 and seen["lower"] >= 30, seen
+
+
+def test_certificates_decide_halvings_at_the_default_threshold(monkeypatch):
+    seen = compare_halvings(np.random.default_rng(37), 80, monkeypatch, patch_threshold=False)
+    assert seen["near"] >= 1200 and seen["servers"] >= 10, seen
+    assert seen["upper"] >= 30 and seen["lower"] >= 40, seen
