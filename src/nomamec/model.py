@@ -84,16 +84,27 @@ class UserSpec:
         )
         if not (math.isfinite(self.distance) and self.distance >= 0):
             raise UsageError("distance must be finite and >= 0")
+        for name, value, fields in (
+            ("time", self.local_full_time, "task_bits * cycles_per_bit / cpu_freq"),
+            ("energy", self.local_full_energy, "kappa * task_bits * cycles_per_bit * cpu_freq**2"),
+        ):
+            if not 0.0 < value < math.inf:
+                raise UsageError(
+                    f"the fully-local {name} {fields} must be finite and > 0, got {value!r}"
+                )
 
     @property
     def local_full_time(self) -> float:
-        """Seconds to compute the whole task locally."""
+        """Seconds to compute the whole task locally; inf past the float range."""
         return self.task_bits * self.cycles_per_bit / self.cpu_freq
 
     @property
     def local_full_energy(self) -> float:
-        """Joules to compute the whole task locally."""
-        return self.kappa * self.task_bits * self.cycles_per_bit * self.cpu_freq**2
+        """Joules to compute the whole task locally; inf past the float range."""
+        try:
+            return self.kappa * self.task_bits * self.cycles_per_bit * self.cpu_freq**2
+        except OverflowError:
+            return math.inf
 
 
 @dataclass(frozen=True)

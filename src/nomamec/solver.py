@@ -103,10 +103,12 @@ e_max, or E_j (1 - beta_j) + alpha_r p_max <= e_max for pinned ratios;
 alpha_r is then called exact. For two users and free ratios that is the
 closed form's Case1.
 
-Two certificates turn alpha_r into verdicts that cost no oracle call.
+Three certificates turn alpha_r into verdicts that cost no oracle call.
 Each certified verdict is the oracle's own, so the trace, the delay and
 the allocation are those of plain bisection; with slack budgets a solve
-asks the oracle once, for its certification.
+asks the oracle once, for its certification, and where a budget binds
+(free ratios, no server) it asks twice, for one probe and the
+certification.
 
 Upper certificate. When alpha_r is exact and there is no server, every
 delay alpha >= alpha_r (1 + 1e-6) is feasible: keep alpha_r's ratios and
@@ -142,12 +144,55 @@ window times rate does not rise. Per branch:
   floats, and this witness does not floor its share by the energy
   budget.
 The bound does not rise with alpha (the floors and the local rows fall,
-alpha R rises), so once it exceeds EPS_FEAS every smaller delay is
-infeasible too. bss_solve evaluates it at alpha_r (1 - 1e-6), with or
-without a server and whether or not alpha_r is exact, and at each halving
-that neither end decides, before it asks the oracle. A pinned top T_max
-2^k at or below that delay is infeasible without a call, but the last top
-is always asked, so its residual names a failure.
+alpha R rises; in floats too, as rounding is monotone), so once it
+exceeds EPS_FEAS every smaller delay is infeasible too, and once it is
+<= EPS_FEAS so is it at every larger delay. bss_solve evaluates it at
+alpha_r (1 - 1e-6), with or without a server and whether or not alpha_r
+is exact, and at each halving that nothing else decides, before it asks
+the oracle, until it first reads <= EPS_FEAS; halvings at or above that
+delay skip it. A pinned top T_max 2^k at or below alpha_r (1 - 1e-6) is
+infeasible without a call, but the last top is always asked, so its
+residual names a failure.
+
+Certificate from a feasible delay alpha_u: free ratios, one user or
+more, no server, alpha_r not exact. The allocation A(alpha) puts every
+power at p_max and each ratio at min(1, max(0, 1 - alpha/T_j, 1 - (e_max
+- alpha p_max)/E_j)): its local-time floor or the least share whose
+local energy leaves room for alpha p_max. While alpha p_max <= e_max it
+meets every local-time, energy and box row by construction. Each ratio
+is then a max of lines in alpha, so each prefix rate row sum_{j<=m} L_j
+beta_j(alpha) - alpha R_m is convex and piecewise linear, with breaks at
+T_j, (e_max - E_j)/p_max and e_max/(E_j/T_j + p_max). The delays at
+which A meets every row form an interval, not a ray, as the energy
+floors rise with alpha. Its left end in [alpha_r, e_max/p_max], alpha_u,
+comes from the sorted breaks: between two of them every row is a line,
+the rows that fall through zero bound the delay from below and those
+that rise through it from above. That takes O(M^2) steps and no
+iterative search. bss_solve evaluates A's rate rows at alpha_c = alpha_u
+(1 + 1e-6) in _max_residual's expression order. When every row is <= 0
+and alpha_c p_max <= e_max, the exact problem is feasible at alpha_c, and
+at every larger delay by the power scaling of the upper certificate, so
+alpha_c is the feasible end: no bracket top or halving at or above it
+asks the oracle.
+
+The probe. alpha_u bounds the optimum only from above, so bss_solve asks
+the oracle once at alpha_u (1 - 1e-6), when that delay lies inside the
+bracket and above the lower certificate's reach. An infeasible verdict
+means the exact problem is infeasible there (the rule below), and so at
+every smaller delay: the least max residual r*(alpha) does not rise with
+alpha, by the same power scaling. Every halving at or below the probe
+is then taken as infeasible. Plain bisection would read one of them
+feasible only if its witness's residual fell in the (0, EPS_FEAS] band
+below the optimum, where the verdict may go either way anyway, so the
+reported delay stays optimal within eps up to that band. The 1e-6 gap
+keeps the probe below the band, which makes the certified verdicts
+equal plain bisection's. On binding draws alpha_u lies close to the
+optimum (within 1.2e-8 relative on 469 binding s1 draws), and the
+witness's residual rises about as fast as the relative distance below
+the optimum (9.7e-8 or more at 1e-7 below it on the same draws), so at
+1e-6 below alpha_u it is near 1e-6, about a hundred times EPS_FEAS. A probe
+that reads feasible decides nothing; where alpha_u sits far above the
+optimum (envelope draws with large p_max) it costs one wasted call.
 
 One verdict rule decides every call. Each branch builds its witness on
 the exact bounds, and the delay is feasible when that witness's max
@@ -189,7 +234,9 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _NEWTON_MAX = 60
-_SEED_SPREAD = 1e-6  # the certificates start at alpha_r (1 +- this)
+# the certificates start at alpha_r (1 +- this) and alpha_u (1 + this), and
+# the probe sits at alpha_u (1 - this)
+_SEED_SPREAD = 1e-6
 EPS_FEAS = 1e-8  # the one verdict threshold: feasible iff the witness's residual <= this
 
 
@@ -570,6 +617,82 @@ def _relaxed_residual(alpha: float, g, specs, config: ScenarioConfig, pinned=Non
     return worst
 
 
+def _floor_betas(alpha: float, specs, config: ScenarioConfig) -> list:
+    """The ratios of A(alpha): each at its local-time or energy floor at p_max, in [0, 1]."""
+    e_max, p_max = config.e_max, config.p_max
+    return [
+        min(1.0, max(0.0, 1.0 - alpha / t_loc, 1.0 - (e_max - alpha * p_max) / e_loc))
+        for _, t_loc, e_loc in specs
+    ]
+
+
+def _floor_rows(alpha: float, g, specs, config: ScenarioConfig) -> list:
+    """The prefix rate rows of A(alpha), every power at p_max, in _max_residual's order."""
+    band, p_max = config.bandwidth, config.p_max
+    bits = snr = prefix = 0.0
+    rows = []
+    for (size, _, _), gain, beta in zip(specs, g, _floor_betas(alpha, specs, config)):
+        bits += beta * size
+        snr += gain * p_max
+        prefix += size
+        rate = band * math.log1p(snr) / _LN2
+        rows.append((bits - alpha * rate) / prefix)
+    return rows
+
+
+def _floor_delay(alpha_r: float, g, specs, config: ScenarioConfig) -> float:
+    """alpha_u: the least delay in [alpha_r, e_max / p_max] at which A(alpha)
+    meets every prefix rate row, inf if there is none.
+
+    Each row is convex and piecewise linear in alpha, with breaks where a
+    ratio's floor changes: at T_j, (e_max - E_j) / p_max and e_max / (E_j /
+    T_j + p_max). Between sorted breaks every row is a line, so the rows
+    that fall through zero bound the delay from below and those that rise
+    through it from above.
+    """
+    e_max, p_max = config.e_max, config.p_max
+    top = e_max / p_max
+    if not alpha_r <= top:
+        return math.inf
+    breaks = (
+        x
+        for _, t_loc, e_loc in specs
+        for x in (t_loc, (e_max - e_loc) / p_max, e_max / (e_loc / t_loc + p_max))
+    )
+    xs = sorted({alpha_r, top, *(x for x in breaks if alpha_r < x < top)})
+    prev = _floor_rows(xs[0], g, specs, config)
+    if max(prev) <= 0.0:
+        return xs[0]
+    for a, b in zip(xs, xs[1:]):
+        rows = _floor_rows(b, g, specs, config)
+        left, right = a, b
+        for at_a, at_b in zip(prev, rows):
+            if at_a > 0.0 and at_b > 0.0:
+                left = math.inf
+            elif at_a > 0.0:
+                left = max(left, min(b, a + (b - a) * at_a / (at_a - at_b)))
+            elif at_b > 0.0:
+                right = min(right, a + (b - a) * at_a / (at_a - at_b))
+        if left <= right:
+            return left
+        prev = rows
+    return math.inf
+
+
+def _floor_certificate(alpha_r: float, g, specs, config: ScenarioConfig) -> tuple:
+    """(alpha_u, yes_from) for free ratios without a server.
+
+    yes_from is alpha_u (1 + 1e-6) when A meets every rate row there in
+    floats and its energy rows can hold (alpha p_max <= e_max), else inf:
+    every delay from yes_from up is feasible (module docstring).
+    """
+    alpha_u = _floor_delay(alpha_r, g, specs, config)
+    at = alpha_u * (1.0 + _SEED_SPREAD)
+    if at * config.p_max <= config.e_max and max(_floor_rows(at, g, specs, config)) <= 0.0:
+        return alpha_u, at
+    return alpha_u, math.inf
+
+
 def _pinned_ratios(fixed_betas, n: int) -> tuple:
     """fixed_betas as a tuple of n floats in [0, 1]; UsageError otherwise."""
     try:
@@ -687,12 +810,16 @@ def bss_solve(
 
     Performs ceil(log2(bracket / eps)) halvings, fewer only when no float
     lies strictly between the bracket's ends. The halvings are
-    verdict-only: no allocation is built. The two certificates of the
-    module docstring, both from the energy-relaxed delay alpha_r, decide
-    a halving or a bracket top without an oracle call: feasible at or
-    above alpha_r (1 + 1e-6) when alpha_r is exact and there is no
-    server, infeasible where the relaxed residual exceeds EPS_FEAS. The
-    trace, the delay and the allocation are those of plain bisection.
+    verdict-only: no allocation is built. The three certificates of the
+    module docstring decide a halving or a bracket top without an oracle
+    call: feasible at or above alpha_r (1 + 1e-6) when the energy-relaxed
+    delay alpha_r is exact and there is no server; infeasible where the
+    relaxed residual exceeds EPS_FEAS; and, for free ratios without a
+    server when alpha_r is not exact, feasible at or above alpha_u (1 +
+    1e-6) when the allocation A(alpha_u (1 + 1e-6)) meets every rate row.
+    In that last case one oracle probe at alpha_u (1 - 1e-6) that reads
+    infeasible decides every halving at or below it. The trace, the
+    delay and the allocation are those of plain bisection.
     check_feasibility decides each bracket top no certificate decides
     and certifies the returned allocation with one call at the reported
     delay plus eps (or at the bracket's feasible end, if that is later,
@@ -701,9 +828,11 @@ def bss_solve(
     rebuilt at the bracket's feasible end.
 
     Raises InfeasibleScenarioError, naming the last top tried, when no
-    top is feasible. T_max bounds a free-ratio optimum when every user's
-    fully-local energy is within e_max; when one is not, a feasible delay
-    above T_max may exist, yet free ratios still try T_max alone.
+    top is feasible, or naming the last finite top when doubling T_max
+    leaves the float range. T_max bounds a free-ratio optimum when every
+    user's fully-local energy is within e_max; when one is not, a
+    feasible delay above T_max may exist, yet free ratios still try
+    T_max alone.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise UsageError("eps must be finite and > 0")
@@ -712,11 +841,14 @@ def bss_solve(
     lo, t_max = init_bounds(config)
     # the certificates of the module docstring: every delay from yes_from
     # up is feasible, every delay up to no_to infeasible, with no oracle call
-    yes_from, no_to = math.inf, lo
+    yes_from, no_to, probe = math.inf, lo, math.inf
     alpha_r, exact = _relaxed_delay(g, specs, config, pinned)
     if 0.0 < alpha_r < math.inf:  # else a rate over- or underflowed: certify nothing
         if exact and config.server is None:
             yes_from = alpha_r * (1.0 + _SEED_SPREAD)
+        elif pinned is None and config.server is None:
+            alpha_u, yes_from = _floor_certificate(alpha_r, g, specs, config)
+            probe = alpha_u * (1.0 - _SEED_SPREAD)
         below = alpha_r * (1.0 - _SEED_SPREAD)
         if _relaxed_residual(below, g, specs, config, pinned) > EPS_FEAS:
             no_to = below
@@ -725,6 +857,11 @@ def bss_solve(
     tops = 1 if pinned is None else 60
     for k in range(tops):
         hi = t_max * 2.0**k
+        if hi == math.inf:
+            raise InfeasibleScenarioError(
+                f"no feasible allocation at the bracket top {t_max * 2.0 ** (k - 1):.6g} s "
+                "(the next top is not finite)"
+            )
         if hi >= yes_from:
             break
         if hi <= no_to and k < tops - 1:
@@ -737,6 +874,10 @@ def bss_solve(
             f"no feasible allocation at the bracket top {hi:.6g} s "
             f"(max violation {top.residual:.3g})"
         )
+    # an infeasible verdict just below alpha_u settles every halving below it
+    if no_to < probe < hi and not oracle.holds(probe):
+        no_to = probe
+    relaxed_ok = math.inf  # _relaxed_residual <= EPS_FEAS here, so at every larger delay
     trace = []
     while hi - lo > eps:
         mid = 0.5 * (lo + hi)
@@ -746,11 +887,11 @@ def bss_solve(
             feasible = True
         elif mid <= no_to:
             feasible = False
+        elif mid < relaxed_ok and _relaxed_residual(mid, g, specs, config, pinned) > EPS_FEAS:
+            feasible = False
         else:
-            feasible = (
-                _relaxed_residual(mid, g, specs, config, pinned) <= EPS_FEAS
-                and oracle.holds(mid)
-            )
+            relaxed_ok = min(relaxed_ok, mid)
+            feasible = oracle.holds(mid)
         trace.append((mid, feasible))
         if feasible:
             hi = mid

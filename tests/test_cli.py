@@ -167,6 +167,28 @@ class TestBadNumbers:
         assert not caught, [str(w.message) for w in caught]
         assert "noise_density_dbm" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("user, argv", [
+        # cpu_freq**2 raised OverflowError
+        ({"cpu_freq_hz": 1e160}, ["solve"]),
+        ({"cpu_freq_hz": 1e160}, ["sweep", "--axis", "p_max", "--values", "0.01"]),
+        ({"cpu_freq_hz": 1e160}, ["verify"]),
+        # the local energy underflows to 0, and the relaxed residual divided by it
+        ({"task_bits": 1e-300}, ["solve"]),
+        ({"task_bits": 1e-300}, ["sweep", "--axis", "p_max", "--values", "0.01"]),
+        ({"task_bits": 1e-300}, ["verify"]),
+        ({}, ["sweep", "--axis", "task_bits", "--values", "1e-300"]),
+    ])
+    def test_local_time_or_energy_out_of_range_exit_2(self, tmp_path, capsys, monkeypatch,
+                                                       user, argv):
+        monkeypatch.setenv("NOMAMEC_OUT", str(tmp_path))
+        spec = {"task_bits": 1.6e6, "cycles_per_bit": 1e3, "cpu_freq_hz": 1e9, "kappa": 1e-27}
+        path = write_config(tmp_path, users=[dict(spec, **user), spec])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([argv[0], path, *argv[1:]]) == 2
+        assert not caught, [str(w.message) for w in caught]
+        assert "fully-local energy" in capsys.readouterr().err
+
     def test_negative_distance_is_config_error(self, tmp_path):
         users = [{"task_bits": 1.6e6, "cycles_per_bit": 1e3, "cpu_freq_hz": 1e9,
                   "kappa": 1e-27, "distance_m": -5.0}]
@@ -307,6 +329,16 @@ class TestSweepCommand:
         assert len(lines) == 2
         manifest = json.loads((out_dir / "sweep_manifest.json").read_text())
         assert manifest["axis"] == "p_max" and manifest["seeds"] == [0]
+
+    def test_bracket_top_past_the_float_range_is_an_infeasible_row(self, tmp_path, capsys):
+        # full offloading of 1e300 bits: doubling the bracket top overflows
+        # before its 60th try, which bisected an infinite bracket
+        path = write_config(tmp_path)
+        out_dir = tmp_path / "out"
+        assert main(["sweep", path, "--axis", "task_bits", "--values", "1e300",
+                     "--schemes", "noma-full", "--seeds", "1", "--out", str(out_dir)]) == 0
+        row = (out_dir / "sweep.csv").read_text().splitlines()[1].split(",")
+        assert row[4] == "inf" and row[-1] == "infeasible"
 
     def test_unknown_axis_or_scheme(self, tmp_path, capsys):
         path = write_config(tmp_path)

@@ -251,6 +251,16 @@ class TestValidation:
         with pytest.raises(UsageError):
             make_user(C=-1.0)
 
+    @pytest.mark.parametrize("fields", [
+        dict(task_bits=1e-300),  # the local energy underflows to 0
+        dict(cpu_freq=1e160),  # cpu_freq**2 overflows
+        dict(task_bits=1e300, cycles_per_bit=1e300),  # the local time overflows
+    ])
+    def test_local_time_and_energy_must_be_finite_and_positive(self, fields):
+        kwargs = dict(task_bits=1.6e6, cycles_per_bit=1e3, cpu_freq=1e9, kappa=1e-27)
+        with pytest.raises(UsageError, match="fully-local"):
+            UserSpec(**dict(kwargs, **fields))
+
     def test_gains_sorted(self):
         with pytest.raises(UsageError):
             ChannelRealization(gains=(2.0, 1.0))

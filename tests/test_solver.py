@@ -281,6 +281,14 @@ class TestBisection:
         assert res.allocation == full.allocation
         assert res.converged
 
+    def test_pinned_top_that_overflows(self):
+        # T_max 2^k overflows before k = 59; the doubling must stop at the
+        # last finite top instead of bisecting an infinite bracket
+        base = s1_config()
+        cfg = replace(base, users=tuple(replace(u, task_bits=1e300) for u in base.users))
+        with pytest.raises(InfeasibleScenarioError, match="next top is not finite"):
+            bss_solve((1e4, 2e4), cfg, fixed_betas=(1.0, 1.0))
+
     @pytest.mark.parametrize(
         "tolerances",
         [dict(eps=0.0), dict(eps=math.nan), dict(eps=math.inf)],
@@ -432,6 +440,84 @@ class TestRelaxedDelay:
         assert cli.main(argv) == 0
         capsys.readouterr()
         assert per_solve == [1] * 14
+
+
+class TestFloorCertificate:
+    """alpha_u: the least delay at which A(alpha), every power at p_max and
+    every ratio at its local-time or energy floor, meets every rate row."""
+
+    def test_floor_allocation_certifies_a_feasible_delay(self):
+        # slack, binding and full-offload budgets; the last spends the whole
+        # budget on full offloading at p_max, so alpha_u sits at e_max / p_max
+        # and only the alpha p_max <= e_max guard keeps it uncertified
+        rng = np.random.default_rng(47)
+        certified, guarded = Counter(), 0
+        for draw in range(150):
+            m = int(rng.integers(1, 9))
+            realization, cfg = draw_envelope_scenario(
+                rng, p_max_high=0.05 if draw % 2 else 1.0, n_users=m)
+            kind = ("slack", "binding", "full")[draw % 3]
+            if kind == "slack":
+                cfg = replace(cfg, e_max=float(rng.uniform(0.4, 3.0)))
+            elif kind == "full":
+                rates = [cfg.bandwidth * math.log2(1.0 + cfg.p_max * sum(realization.gains[:j]))
+                         for j in range(1, m + 1)]
+                bits = np.cumsum([u.task_bits for u in cfg.users])
+                cfg = replace(cfg, e_max=float(max(bits / rates) * cfg.p_max))
+            eps = 1e-9 * max(u.local_full_time for u in cfg.users)
+            try:
+                opt = bss_solve(realization, cfg, eps=eps).optimal_delay
+            except InfeasibleScenarioError:
+                continue
+            oracle = solver._Oracle(realization, cfg)
+            alpha_r = solver._relaxed_delay(oracle.g, oracle.specs, cfg)[0]
+            alpha_u, at = solver._floor_certificate(alpha_r, oracle.g, oracle.specs, cfg)
+            assert alpha_u >= opt - eps, (kind, m, alpha_u, opt)
+            if at == math.inf:
+                guarded += alpha_u * (1.0 + solver._SEED_SPREAD) * cfg.p_max > cfg.e_max
+                continue
+            alloc = Allocation(solver._floor_betas(at, oracle.specs, cfg), (cfg.p_max,) * m)
+            # the local and energy rows sit at their floors, up to rounding
+            assert max_violation(at, alloc, realization, cfg) <= 1e-12, (kind, m)
+            assert check_feasibility(at, realization, cfg).feasible, (kind, m)
+            certified[kind] += 1
+        assert min(certified[k] for k in ("slack", "binding")) >= 40, certified
+        assert guarded >= 20, guarded
+
+    def test_binding_budgets_take_two_oracle_calls(self, monkeypatch):
+        # s1 draws whose relaxed delay is not exact: the probe just below
+        # alpha_u and the certification are the only oracle calls
+        calls = []
+        decide = solver._Oracle._decide
+
+        def counting(self, alpha):
+            calls.append(alpha)
+            return decide(self, alpha)
+
+        monkeypatch.setattr(solver._Oracle, "_decide", counting)
+        base, counts = s1_config(), Counter()
+        for trial in range(200):
+            realization = generate_channels(Seed(master=0, trial=trial), base)
+            cfg = reorder_users(base, realization)
+            calls.clear()
+            bss_solve(realization, cfg)
+            alpha_r, exact = relaxed_delay(realization, cfg)
+            if exact:
+                continue
+            oracle = solver._Oracle(realization, cfg)
+            alpha_u, at = solver._floor_certificate(alpha_r, oracle.g, oracle.specs, cfg)
+            if alpha_u > alpha_r:
+                # the probe first, the certification last, and between them
+                # only a halving that falls within 1e-6 of alpha_u
+                probe = alpha_u * (1.0 - solver._SEED_SPREAD)
+                assert calls[0] == probe and at < math.inf, (trial, calls)
+                assert all(probe < a < at for a in calls[1:-1]), (trial, calls)
+                counts[len(calls)] += 1
+            else:
+                # A(alpha_r) meets every rate row, so alpha_r is the optimum and
+                # the lower certificate already reaches the probe
+                assert len(calls) == 1, (trial, calls)
+        assert counts[2] >= 100 and counts[2] >= 20 * (counts.total() - counts[2]), counts
 
 
 class TestOptimumStructure:
