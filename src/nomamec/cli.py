@@ -149,6 +149,8 @@ def run_sweep(
         raise UsageError(f"sweep axis values must be distinct, got {list(values)}")
     if not schemes:
         raise UsageError("a sweep needs at least one scheme")
+    if len(set(schemes)) != len(schemes):
+        raise UsageError(f"sweep schemes must be distinct, got {list(schemes)}")
     if n_seeds < 1:
         raise UsageError(f"a sweep needs at least one seed, got {n_seeds}")
     for s in schemes:
@@ -192,16 +194,17 @@ def run_sweep(
                     )
     rows.sort(key=lambda r: (r[1], r[2], r[3]))
 
-    means = []
-    for value in sorted({r[1] for r in rows}):
-        for scheme in sorted({r[2] for r in rows}):
-            group = [r for r in rows if r[1] == value and r[2] == scheme]
-            if not group:
-                continue
-            # the five metric columns' seed means in one call; each row
-            # mean equals np.mean of its column bit for bit
-            cols = np.array(list(zip(*group))[4:9], dtype=float)
-            means.append((axis, value, scheme, len(group), *map(float, cols.mean(axis=1))))
+    # after the sort each (value, scheme) group is n_seeds adjacent rows.
+    # Each group's (5, n_seeds) block of metric columns is made contiguous,
+    # so mean(axis=2) sums each column as one contiguous run, the same
+    # pairwise sum np.mean takes over that column alone: every seed mean
+    # equals np.mean of its column bit for bit
+    metrics = np.array([r[4:9] for r in rows], dtype=float)
+    blocks = np.ascontiguousarray(metrics.reshape(-1, n_seeds, 5).transpose(0, 2, 1))
+    means = [
+        (axis, r[1], r[2], n_seeds, *group_means)
+        for r, group_means in zip(rows[::n_seeds], blocks.mean(axis=2).tolist())
+    ]
 
     _write_csv(csv_path, SWEEP_COLUMNS, rows)
     _write_csv(mean_path, MEAN_COLUMNS, means)

@@ -27,7 +27,7 @@ from typing import Optional
 
 from . import solver
 from .lambertw import lambert_wm1
-from .model import ScenarioConfig, UsageError
+from .model import ScenarioConfig, UsageError, UserSpec
 from .solver import _gain_tuple, _max_residual, _specs
 
 __all__ = [
@@ -60,9 +60,10 @@ class TwoUserSolution:
 def _reduce(gains, config: ScenarioConfig) -> tuple:
     """(gains, a1, b1, (kappa_1 f_1^3, kappa_2 f_2^3)) of a two-user config.
 
-    kappa_j f_j^3 = E_j / T_j is user j's local energy rate. UsageError
-    unless there are two users, no server and two ascending, finite,
-    positive gains.
+    kappa_j f_j^3 = E_j / T_j is user j's local energy rate, inf when the
+    cube leaves the float range (no water level then exists, so the
+    candidates that need one drop out). UsageError unless there are two
+    users, no server and two ascending, finite, positive gains.
     """
     if len(config.users) != 2:
         raise UsageError("the closed form needs exactly two users")
@@ -74,7 +75,15 @@ def _reduce(gains, config: ScenarioConfig) -> tuple:
     u1, u2 = config.users
     a1 = u1.task_bits + u2.task_bits
     b1 = u1.cpu_freq / u1.cycles_per_bit + u2.cpu_freq / u2.cycles_per_bit
-    return g, a1, b1, (u1.kappa * u1.cpu_freq**3, u2.kappa * u2.cpu_freq**3)
+    return g, a1, b1, (_energy_rate(u1), _energy_rate(u2))
+
+
+def _energy_rate(user: UserSpec) -> float:
+    """kappa f^3, +inf once f^3 leaves the float range."""
+    try:
+        return user.kappa * user.cpu_freq**3
+    except OverflowError:
+        return math.inf
 
 
 def _water_level(
@@ -87,8 +96,10 @@ def _water_level(
     interference)) for the upper root, the one past which the budget is
     exceeded. Returns +inf when the budget can never go tight at any
     attainable power (huge e_max) and None when it is violated for every
-    power level.
+    power level, which includes an infinite local energy rate.
     """
+    if kappa_f3 == math.inf:
+        return None
     big_a = kappa_f3 * a1 / (config.e_max * config.bandwidth) - b1 / config.bandwidth
     big_b = a1 / (config.e_max * config.bandwidth)
     c = big_b * _LN2 / gain_eff

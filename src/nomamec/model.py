@@ -67,6 +67,10 @@ class UserSpec:
     kappa: effective capacitance coefficient, J*s^2/cycle^3.
     distance: meters from the base station; 0 means "place randomly"
         during scenario generation.
+
+    local_full_time (seconds to compute the whole task locally) and
+    local_full_energy (joules to do so) are derived once, at
+    construction; the solvers read them on every solve.
     """
 
     task_bits: float
@@ -74,6 +78,8 @@ class UserSpec:
     cpu_freq: float
     kappa: float
     distance: float = 0.0
+    local_full_time: float = field(init=False, repr=False, compare=False)
+    local_full_energy: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _require_positive(
@@ -84,27 +90,21 @@ class UserSpec:
         )
         if not (math.isfinite(self.distance) and self.distance >= 0):
             raise UsageError("distance must be finite and >= 0")
+        time = self.task_bits * self.cycles_per_bit / self.cpu_freq
+        try:
+            energy = self.kappa * self.task_bits * self.cycles_per_bit * self.cpu_freq**2
+        except OverflowError:
+            energy = math.inf
         for name, value, fields in (
-            ("time", self.local_full_time, "task_bits * cycles_per_bit / cpu_freq"),
-            ("energy", self.local_full_energy, "kappa * task_bits * cycles_per_bit * cpu_freq**2"),
+            ("time", time, "task_bits * cycles_per_bit / cpu_freq"),
+            ("energy", energy, "kappa * task_bits * cycles_per_bit * cpu_freq**2"),
         ):
             if not 0.0 < value < math.inf:
                 raise UsageError(
                     f"the fully-local {name} {fields} must be finite and > 0, got {value!r}"
                 )
-
-    @property
-    def local_full_time(self) -> float:
-        """Seconds to compute the whole task locally; inf past the float range."""
-        return self.task_bits * self.cycles_per_bit / self.cpu_freq
-
-    @property
-    def local_full_energy(self) -> float:
-        """Joules to compute the whole task locally; inf past the float range."""
-        try:
-            return self.kappa * self.task_bits * self.cycles_per_bit * self.cpu_freq**2
-        except OverflowError:
-            return math.inf
+        object.__setattr__(self, "local_full_time", time)
+        object.__setattr__(self, "local_full_energy", energy)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,18 @@
 """Reproducible random scenarios: placement, Rayleigh fading, path loss.
 
 Randomness comes from numpy's counter-based Philox generator keyed by a
-SeedSequence over (master seed, trial index[, point index]), so every
-realization is a pure function of those integers and independent trials
-can be generated in parallel in any order.
+SeedSequence over (master seed, trial index[, point index]), so on one
+host every realization is a pure function of those integers and
+independent trials can be generated in parallel in any order. The draws
+themselves are the same on every machine; the path loss d^alpha is
+numpy's array power, whose last bit can depend on the SIMD code numpy
+picks for the host CPU, so a gain can differ in its last bit between
+hosts.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -25,7 +30,9 @@ __all__ = [
     "reorder_users",
 ]
 
-# recorded in run manifests so outputs are reproducible across machines
+# recorded in run manifests: the draws it names are the same on every
+# machine; the gains built from them can differ in the last bit between
+# hosts (see gains_from_draws)
 RNG_SCHEME = "philox4x64 / seedseq(master_seed, trial[, point][, user])"
 
 
@@ -47,22 +54,27 @@ def rng_for(seed: Seed, point: Optional[int] = None, user: Optional[int] = None)
     return np.random.Generator(np.random.Philox(ss))
 
 
-def gains_from_draws(
-    distances: np.ndarray, fading_power: np.ndarray, config: ScenarioConfig
-) -> np.ndarray:
+def gains_from_draws(distances, fading_power, config: ScenarioConfig) -> list[float]:
     """Noise-normalized gains |g|^2 (1 + d^alpha)^-1 / sigma^2, unsorted.
 
-    A noise power so small that a gain overflows is a UsageError naming
-    noise_density_dbm; whether one does depends on the draw.
+    distances and fading_power are equal-length sequences of floats.
+    d^alpha is numpy's array power, and everything else is float
+    arithmetic. The array power is kept on purpose: on a host where numpy
+    vectorizes pow (AVX-512, for one), it differs from math.pow in the
+    last bit on a few percent of distances, and a scalar power would move
+    output bytes. A noise power so small that a gain overflows is a
+    UsageError naming noise_density_dbm and bandwidth; whether one does
+    depends on the draw.
     """
     sigma2 = dbm_per_hz_to_watts(config.noise_density_dbm, config.bandwidth)
-    path = 1.0 + np.asarray(distances, dtype=float) ** config.path_loss_exp
-    with np.errstate(over="ignore"):
-        gains = np.asarray(fading_power, dtype=float) / (path * sigma2)
-    if not np.isfinite(gains).all():
+    path = (np.array(distances, dtype=float) ** config.path_loss_exp).tolist()
+    # sigma2 > 0, so an overflowing quotient is inf, never an exception
+    gains = [f / ((1.0 + d) * sigma2) for d, f in zip(path, fading_power)]
+    if not all(g < math.inf for g in gains):
         raise UsageError(
-            f"noise_density_dbm: the noise power N0 B = {sigma2!r} W is so small that a "
-            f"channel gain overflows ({config.noise_density_dbm!r} dBm/Hz)"
+            f"noise_density_dbm and bandwidth: the noise power N0 B = {sigma2!r} W "
+            f"({config.noise_density_dbm!r} dBm/Hz over {config.bandwidth!r} Hz) is so "
+            f"small that a channel gain overflows"
         )
     return gains
 
@@ -86,27 +98,29 @@ def generate_channels(
     ``streams`` is a dict the caller keeps across calls: each user's draw
     is stored there under (seed, point, user) and read back instead of
     drawn again, so a user-count sweep draws each stream once.
+
+    Distances, fading and the stable sort are float operations, each the
+    IEEE operation numpy's array expression would perform per element, so
+    the gains equal the array formula's bit for bit; at a few users
+    numpy's per-call cost outweighs its vector speed.
     """
-    n = config.num_users
     draws = {} if streams is None else streams
-    u = np.empty(n)
-    re = np.empty(n)
-    im = np.empty(n)
-    for i in range(n):
+    radius = config.cell_radius
+    distances = []
+    fading_power = []
+    for i, usr in enumerate(config.users):
         key = (seed, point, i)
-        if key not in draws:
+        draw = draws.get(key)
+        if draw is None:
             rng = rng_for(seed, point, user=i)
-            draws[key] = (rng.random(), rng.standard_normal(), rng.standard_normal())
-        u[i], re[i], im[i] = draws[key]
-    drawn = config.cell_radius * (1.0 - u)  # uniform in (0, R]
-    fixed = np.array([usr.distance for usr in config.users])
-    distances = np.where(fixed > 0.0, fixed, drawn)
-    fading_power = 0.5 * (re**2 + im**2)
+            draw = draws[key] = (rng.random(), rng.standard_normal(), rng.standard_normal())
+        u, re, im = draw
+        # a drawn distance is uniform in (0, R]
+        distances.append(usr.distance if usr.distance > 0.0 else radius * (1.0 - u))
+        fading_power.append(0.5 * (re * re + im * im))
     gains = gains_from_draws(distances, fading_power, config)
-    order = np.argsort(gains, kind="stable")
-    return ChannelRealization(
-        gains=tuple(gains[order]), sic_order=tuple(int(i) for i in order)
-    )
+    order = sorted(range(len(gains)), key=gains.__getitem__)
+    return ChannelRealization(gains=tuple(gains[i] for i in order), sic_order=tuple(order))
 
 
 def reorder_users(config: ScenarioConfig, realization: ChannelRealization) -> ScenarioConfig:

@@ -313,6 +313,24 @@ class TestSolveCommand:
         assert not out_dir.exists()
 
 
+    def test_local_energy_rate_past_the_float_range_falls_back(self, tmp_path, capsys):
+        # cpu_freq**3 overflowed in the closed form (an OverflowError
+        # traceback from solve and verify) although E = kappa L C f^2 is finite
+        spec = {"task_bits": 1.6e6, "cycles_per_bit": 1e3, "cpu_freq_hz": 1e9, "kappa": 1e-28}
+        path = write_config(tmp_path, users=[dict(spec, kappa=1e-27, cpu_freq_hz=1e110), spec])
+        delays = {}
+        for method in ("auto", "bss"):
+            assert main(["solve", path, "--method", method,
+                         "--out", str(tmp_path / method)]) == 0
+            out = capsys.readouterr().out
+            delays[method] = next(l for l in out.splitlines() if l.startswith("optimal delay"))
+            assert "bss" in out
+        assert delays["auto"] == delays["bss"]
+        assert float(delays["bss"].split()[2]) == pytest.approx(0.19634, rel=1e-4)
+        assert main(["verify", path]) == 0
+        assert "structure infeasible" in capsys.readouterr().out
+
+
 class TestSweepCommand:
     def test_single_point_single_seed(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -383,6 +401,28 @@ class TestSweepCommand:
         np.array([float(r[4]) for r in rows])  # delays parse as floats
 
 
+    @pytest.mark.parametrize("n_seeds", [3, 9, 17])
+    def test_seed_means_equal_np_mean_of_each_column(self, tmp_path, n_seeds):
+        # at e_max 0.2 J user 1 cannot compute locally: the local group is
+        # all inf delays and nan metrics
+        loaded = load_config(write_config(tmp_path))
+        csv_path, mean_path, _ = run_sweep(
+            loaded, axis="e_max", values=[2.0, 0.2], schemes=["noma-partial", "local"],
+            n_seeds=n_seeds, eps=1e-3, out_dir=str(tmp_path / "means"),
+        )
+        rows = [l.split(",") for l in open(csv_path).read().splitlines()[1:]]
+        groups = {}
+        for r in rows:
+            groups.setdefault((r[0], r[1], r[2]), []).append([float(x) for x in r[4:9]])
+        want = [
+            ",".join([*key, str(len(group)),
+                      *(f"{float(np.mean(col)):.16e}" for col in np.array(group).T)])
+            for key, group in sorted(groups.items(), key=lambda kv: (float(kv[0][1]), kv[0][2]))
+        ]
+        assert open(mean_path).read().splitlines()[1:] == want
+        assert "inf" in want[0] and "nan" in want[0]
+
+
 class TestSweepBadInput:
     """Bad sweep values and circuit powers exit 2 before anything is solved."""
 
@@ -449,6 +489,29 @@ class TestSweepBadInput:
         assert rc == 2
         assert "at least one" in capsys.readouterr().err
         assert not out_dir.exists()
+
+
+    def test_duplicate_schemes_exit_2(self, tmp_path, capsys):
+        # a repeated scheme wrote every row twice and a mean over twice the seeds
+        path = write_config(tmp_path, e_max_j=2.0)
+        out_dir = tmp_path / "out"
+        rc = main(["sweep", path, "--axis", "p_max", "--values", "0.01",
+                   "--schemes", "local,noma-full,local", "--out", str(out_dir)])
+        assert rc == 2
+        assert "distinct" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_gain_overflow_names_noise_density_and_bandwidth(self, tmp_path, capsys):
+        # the noise power N0 B is tiny because the bandwidth is
+        path = write_config(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["sweep", path, "--axis", "bandwidth", "--values", "1e-300",
+                       "--schemes", "noma-partial", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert not caught, [str(w.message) for w in caught]
+        err = capsys.readouterr().err
+        assert "noise_density_dbm" in err and "bandwidth" in err and "N0 B" in err
 
 
 class TestAxisApplication:

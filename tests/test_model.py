@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -147,6 +148,36 @@ class TestEnergies:
         assert local_energy(1.0, user) == 0.0
         assert local_energy(0.0, user) + 0.0 == pytest.approx(user.local_full_energy)
 
+
+
+class TestFullyLocalConstants:
+    """local_full_time and local_full_energy are computed once, at construction."""
+
+    def test_equal_the_formulas(self):
+        for user in (make_user(), make_user(L=3.3e5, C=737.0, f=1.3e9, kappa=3e-28)):
+            assert user.local_full_time == user.task_bits * user.cycles_per_bit / user.cpu_freq
+            assert user.local_full_energy == (
+                user.kappa * user.task_bits * user.cycles_per_bit * user.cpu_freq**2
+            )
+
+    def test_replace_recomputes_them(self):
+        user = make_user()
+        for changes in ({"task_bits": 4e5}, {"cycles_per_bit": 20.0}, {"cpu_freq": 3e8},
+                        {"kappa": 7e-29}):
+            new = replace(user, **changes)
+            fresh = UserSpec(task_bits=new.task_bits, cycles_per_bit=new.cycles_per_bit,
+                             cpu_freq=new.cpu_freq, kappa=new.kappa)
+            assert new.local_full_time == fresh.local_full_time
+            assert new.local_full_energy == fresh.local_full_energy
+            assert new.task_bits * new.cycles_per_bit / new.cpu_freq == new.local_full_time
+        assert replace(user, distance=7.0).local_full_energy == user.local_full_energy
+
+    def test_not_constructor_fields(self):
+        user = make_user()
+        assert user == make_user() and hash(user) == hash(make_user())
+        assert "local_full" not in repr(user)
+        with pytest.raises(ValueError, match="init=False"):
+            replace(user, local_full_time=1.0)
 
 class TestServer:
     def test_zero_betas(self):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
@@ -145,3 +147,51 @@ class TestStatistics:
         drawn = cfg.cell_radius * (1.0 - u)
         assert 0.0 < drawn.min() and drawn.max() <= cfg.cell_radius
         assert abs(drawn.mean() - 250.0) < 15.0
+
+
+def _array_reference(seed, config, point=None):
+    """generate_channels written as numpy array arithmetic: (gains, sic_order)."""
+    n = config.num_users
+    u, re, im = np.empty(n), np.empty(n), np.empty(n)
+    for i in range(n):
+        rng = rng_for(seed, point, user=i)
+        u[i], re[i], im[i] = rng.random(), rng.standard_normal(), rng.standard_normal()
+    drawn = config.cell_radius * (1.0 - u)
+    fixed = np.array([usr.distance for usr in config.users])
+    distances = np.where(fixed > 0.0, fixed, drawn)
+    fading_power = 0.5 * (re**2 + im**2)
+    sigma2 = dbm_per_hz_to_watts(config.noise_density_dbm, config.bandwidth)
+    gains = fading_power / ((1.0 + distances**config.path_loss_exp) * sigma2)
+    order = np.argsort(gains, kind="stable")
+    return tuple(gains[order].tolist()), tuple(order.tolist())
+
+
+class TestArrayReference:
+    """The float loop gives the array formula's gains and order bit for bit."""
+
+    @pytest.mark.parametrize("n", range(1, 18))  # past one 8-lane AVX-512 block
+    def test_matches_array_formula(self, n):
+        for alpha in (2.0, 3.76, 4.5):
+            for distance in (0.0, 40.0):
+                base = many_user_config(n, distance=distance)
+                # every third user drawn, the rest fixed, when distances are fixed
+                users = tuple(replace(usr, distance=distance * (i % 3)) for i, usr in
+                              enumerate(base.users))
+                cfg = replace(base, users=users, path_loss_exp=alpha)
+                streams = {}
+                for trial in range(3):
+                    seed = Seed(master=31, trial=trial)
+                    for point in (None, 2):
+                        want = _array_reference(seed, cfg, point)
+                        # the second streams call reads the stored draws back
+                        for kwargs in ({}, {"streams": streams}, {"streams": streams}):
+                            real = generate_channels(seed, cfg, point, **kwargs)
+                            assert (real.gains, real.sic_order) == want
+
+    def test_equal_gains_keep_user_order(self):
+        # fixed distances with equal draws: a stable sort keeps index order
+        cfg = many_user_config(4, distance=50.0)
+        seed = Seed(master=3)
+        streams = {(seed, None, i): (0.5, 0.3, -0.4) for i in range(4)}
+        real = generate_channels(seed, cfg, streams=streams)
+        assert real.sic_order == (0, 1, 2, 3) and len(set(real.gains)) == 1
