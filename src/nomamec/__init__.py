@@ -56,7 +56,6 @@ from .solver import (
     SolveResult,
     bss_solve,
     check_feasibility,
-    init_bounds,
     max_violation,
 )
 
@@ -86,7 +85,6 @@ __all__ = [
     "dbm_per_hz_to_watts",
     "full_local_delay",
     "generate_channels",
-    "init_bounds",
     "lambert_wm1",
     "load_config",
     "local_energy",

@@ -123,6 +123,12 @@ class ServerSpec:
         )
 
 
+def _path_loss_fields(config: "ScenarioConfig", i: int) -> str:
+    """The config fields that set user i's path loss d^alpha."""
+    where = f"users[{i}].distance_m" if config.users[i].distance else "cell_radius_m"
+    return f"{where} and path_loss_exp"
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Full physical and task parameterization of one cell.
@@ -157,6 +163,17 @@ class ScenarioConfig:
             )
         if not self.users:
             raise UsageError("users must be nonempty")
+        # a drawn distance is at most cell_radius, and d^alpha rises with d
+        try:
+            for user in self.users:
+                math.pow(user.distance or self.cell_radius, self.path_loss_exp)
+        except OverflowError:
+            i = self.users.index(user)
+            raise UsageError(
+                f"{_path_loss_fields(self, i)}: the path loss d^alpha = "
+                f"{user.distance or self.cell_radius!r} ** {self.path_loss_exp!r} of user {i} "
+                "leaves the float range"
+            ) from None
 
     @property
     def num_users(self) -> int:

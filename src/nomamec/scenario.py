@@ -18,7 +18,13 @@ from typing import Optional
 
 import numpy as np
 
-from .model import ChannelRealization, ScenarioConfig, UsageError, dbm_per_hz_to_watts
+from .model import (
+    ChannelRealization,
+    ScenarioConfig,
+    UsageError,
+    _path_loss_fields,
+    dbm_per_hz_to_watts,
+)
 
 __all__ = [
     "Seed",
@@ -63,14 +69,22 @@ def gains_from_draws(distances, fading_power, config: ScenarioConfig) -> list[fl
     vectorizes pow (AVX-512, for one), it differs from math.pow in the
     last bit on a few percent of distances, and a scalar power would move
     output bytes. A noise power so small that a gain overflows is a
-    UsageError naming noise_density_dbm and bandwidth; whether one does
-    depends on the draw.
+    UsageError naming noise_density_dbm and bandwidth, and a gain that
+    comes out 0 one naming the user's distance_m (or cell_radius_m) and
+    path_loss_exp; whether either happens depends on the draw.
+    ScenarioConfig already rejects a path loss that overflows.
     """
     sigma2 = dbm_per_hz_to_watts(config.noise_density_dbm, config.bandwidth)
     path = (np.array(distances, dtype=float) ** config.path_loss_exp).tolist()
     # sigma2 > 0, so an overflowing quotient is inf, never an exception
     gains = [f / ((1.0 + d) * sigma2) for d, f in zip(path, fading_power)]
-    if not all(g < math.inf for g in gains):
+    if not all(0.0 < g < math.inf for g in gains):
+        for i, g in enumerate(gains):
+            if g == 0.0:
+                raise UsageError(
+                    f"{_path_loss_fields(config, i)}: the channel gain of user {i} is 0 "
+                    f"(path loss d^alpha = {path[i]!r} at d = {distances[i]!r} m)"
+                )
         raise UsageError(
             f"noise_density_dbm and bandwidth: the noise power N0 B = {sigma2!r} W "
             f"({config.noise_density_dbm!r} dBm/Hz over {config.bandwidth!r} Hz) is so "

@@ -26,22 +26,38 @@ the task bits, T_j and E_j the fully-local time and energy, g_j the gain
 and B the band, more power only helps the rate constraints, so at delay
 alpha each power sits at its energy cap. User j's SNR g_j p_j is then a
 concave piecewise-linear function of its offloaded bits u_j = beta_j L_j
-with at most two pieces (slope g_j E_j / (alpha L_j) until the power
-reaches p_max, then flat) on [lo_j L_j, L_j], where lo_j is the least
-share the local-time bound and a nonnegative power allow. Prefix m needs
-K_m = (alpha B / ln 2) ln(1 + S_m) - U_m >= 0 for its SNR S_m and bits U_m.
-Later prefixes prefer more SNR and fewer bits, so the pass keeps the
-frontier "most prefix SNR for given prefix bits" as slope-sorted
-(slope, owner, length) segments. For each user it merges the user's
-pieces in (ties go to the earlier owner) and finds the peak of K_m,
-which is concave along the frontier; a negative peak means infeasible.
+on [lo_j L_j, L_j], where lo_j is the least share the local-time bound
+and a nonnegative power allow: it rises with slope g_j E_j / (alpha L_j)
+until the power reaches p_max at the knee, then stays flat. Prefix m
+needs K_m = (alpha B / ln 2) ln(1 + S_m) - U_m >= 0 for its SNR S_m and
+bits U_m. Later prefixes prefer more SNR and fewer bits, so the pass
+keeps the frontier "most prefix SNR for given prefix bits" past the
+prefix's floors as slope-sorted (slope, owner, length) segments, one
+per rising piece. For each user it merges the user's rising piece in
+(ties go to the earlier owner) and finds the peak of K_m, which is
+concave along the frontier; a negative peak means infeasible.
 Otherwise it cuts the frontier's left end to the root of K_m before the
 peak, found by Newton from the infeasible side, which converges
 monotonically. The right end needs no cut: past the peak of K_m the
 slopes are too small for any later K to rise, so no later peak or
 left end lies there. The segments cut away, by owner, give each user's
-bits at the least-bits end of the last frontier: the witness. The pass
-takes O(M^2) scalar steps and no iterative search beyond the roots.
+bits at the least-bits end of the last frontier: the witness.
+
+The flat pieces stay off the frontier, and that changes no bit of any
+verdict or witness. A flat piece has slope 0, so it would sort after
+every rising segment, and along it S stays put while U grows: K only
+falls there. The peak therefore lies at or before the start of the
+first flat piece, the left end's root lies before the peak, and neither
+the feasible witness (the least-bits end) nor the infeasible one (the
+peak) takes any of a flat piece's bits. K at the end of the rising
+segments is the value the first flat piece would start with, so every
+verdict is the same. A user's step costs O(1) plus O(r) for the r
+rising segments on the frontier, so the pass takes O(M^2) scalar steps
+at most. When no piece rises it takes O(M): if every power sits at
+p_max at its floor (E_j (1 - lo_j) + alpha p_max <= e_max for every j,
+as when every budget is slack), the frontier stays empty and each
+user's step is the one check K_m >= 0 at the floors. There is no
+iterative search beyond the roots.
 
 One user with free ratios and no server (every OFDMA subproblem) is
 decided exactly in O(1). At delay alpha the largest share the rate
@@ -80,8 +96,9 @@ alpha - c_s sum_j beta_j L_j is <= EPS_FEAS, and infeasible when the
 next window is not positive, a pass fails, or W stops rising. Every pass
 that continues the loop raises W strictly while keeping it below
 alpha / c_s, so the loop ends after finitely many passes, though near
-the optimum it may take a thousand or more of them (each O(M^2) scalar
-steps). With no server c_s = 0 and the loop is the single pass above.
+the optimum it may take a thousand or more of them (each at most O(M^2)
+scalar steps, O(M) when no piece rises). With no server c_s = 0 and the
+loop is the single pass above.
 
 The bisection is seeded by the energy-relaxed delay alpha_r. Drop the
 energy budgets and the server: more power and less offloading then only
@@ -92,7 +109,9 @@ p_max sum_{j<=m} g_j). h_m is increasing and piecewise linear with
 breaks at the T_j, and its root is alpha_m = sum_A L_j / (R_m + sum_A L_j/T_j),
 A being the users j <= m with T_j > alpha_m. Every set's line lies on or
 above h_m, so starting from all users and dropping those with T_j at or
-below the current root raises the root to alpha_m. With pinned ratios
+below the current root raises the root to alpha_m. Running sums of L_j
+and L_j/T_j over the prefix give the all-users root in O(1), so a prefix
+is summed afresh only once a user is dropped. With pinned ratios
 the relaxed delay is the larger of max_j T_j (1 - beta_j) and max_m
 sum_{j<=m} beta_j L_j / R_m. The relaxed problem admits every
 allocation the true one does, with or without a server (a server only
@@ -226,7 +245,6 @@ __all__ = [
     "FeasibilityReport",
     "SolveResult",
     "InfeasibleScenarioError",
-    "init_bounds",
     "max_violation",
     "check_feasibility",
     "bss_solve",
@@ -295,11 +313,6 @@ class SolveResult:
     trace: tuple
     converged: bool
     feasibility_residual: float
-
-
-def init_bounds(config: ScenarioConfig) -> tuple[float, float]:
-    """Bisection bracket: zero to the worst fully-local compute time."""
-    return 0.0, max(u.local_full_time for u in config.users)
 
 
 def max_violation(alpha: float, alloc: Allocation, gains, config: ScenarioConfig) -> float:
@@ -442,7 +455,10 @@ def _frontier_pass(alpha: float, window: float, g, specs, config: ScenarioConfig
 
     specs holds each user's (task bits, local time, local energy). The
     rate constraints get ``window`` (alpha less the server time, or alpha
-    itself), the local-time and energy bounds alpha.
+    itself), the local-time and energy bounds alpha. The frontier holds
+    only the rising piece of each user's SNR, from its floor to the knee
+    where the power reaches p_max: the flat rest carries no witness bit
+    (module docstring), so a pass with no rising piece takes O(M) steps.
     Returns (feasible, betas, powers). A feasible pass gives the
     least-bits point of the last frontier. An infeasible pass gives the
     point that comes closest to meeting the first prefix it cannot meet,
@@ -462,19 +478,25 @@ def _frontier_pass(alpha: float, window: float, g, specs, config: ScenarioConfig
     extra = [0.0] * len(specs)  # bits offloaded beyond the floor, by owner
     segs: list[list] = []  # [slope, owner, length], slope descending, ties by owner
     u0 = s0 = 0.0
+    feasible = True
     for m, ((size, _, energy), gain, lo) in enumerate(zip(specs, g, floors)):
         knee = min(1.0, max(lo, 1.0 - (e_max - alpha * p_max) / energy))
         u0 += lo * size
         s0 += gain * p_floor[m]
-        # user m's SNR at its energy cap: rising until the power reaches
-        # p_max at the knee, then flat
-        for piece in ((gain * energy / (alpha * size), m, (knee - lo) * size),
-                      (0.0, m, (1.0 - knee) * size)):
-            if piece[2] > 0.0:
-                at = 0
-                while at < len(segs) and segs[at][0] >= piece[0]:
-                    at += 1
-                segs.insert(at, list(piece))
+        # user m's SNR at its energy cap rises until the power reaches p_max
+        # at the knee; the flat rest carries no witness bit (module docstring)
+        length = (knee - lo) * size
+        if length > 0.0:
+            slope = gain * energy / (alpha * size)
+            at = 0
+            while at < len(segs) and segs[at][0] >= slope:
+                at += 1
+            segs.insert(at, [slope, m, length])
+        if not segs:  # K at the frontier's only point
+            feasible = c * math.log1p(s0) - u0 >= 0.0
+            if feasible:
+                continue
+            break
 
         us, ss = [u0], [s0]
         for slope, _, length in segs:
@@ -561,19 +583,25 @@ def _relaxed_delay(g, specs, config: ScenarioConfig, pinned=None) -> tuple:
         local = [1.0 - beta for beta in pinned]
     else:
         prefix = []
+        per_time, t_min = 0.0, math.inf  # sum of L_j / T_j and least T_j over the prefix
         for (size, t_loc, _), gain in zip(specs, g):
             snr += gain * p_max
             rate = band * math.log1p(snr) / _LN2
             prefix.append((size, t_loc))
-            # root of the prefix's slack: drop the users whose floor is 0
-            # there until none is left to drop
-            active = prefix
-            while True:
-                root = sum(s for s, _ in active) / (rate + sum(s / t for s, t in active))
-                kept = [(s, t) for s, t in active if t > root]
-                if len(kept) in (0, len(active)):  # none left only when the rate is 0
-                    break
-                active = kept
+            bits += size
+            per_time += size / t_loc
+            t_min = min(t_min, t_loc)
+            root = bits / (rate + per_time)
+            if not t_min > root:  # some floor is 0 at the root, or the root is nan
+                # drop the users whose floor is 0 at the root until none is
+                # left to drop
+                active = prefix
+                while True:
+                    root = sum(s for s, _ in active) / (rate + sum(s / t for s, t in active))
+                    kept = [(s, t) for s, t in active if t > root]
+                    if len(kept) in (0, len(active)):  # none left only when the rate is 0
+                        break
+                    active = kept
             alpha_r = max(alpha_r, root)
         local = [min(1.0, alpha_r / t_loc) for _, t_loc, _ in specs]
     exact = all(
@@ -838,7 +866,7 @@ def bss_solve(
         raise UsageError("eps must be finite and > 0")
     oracle = _Oracle(gains, config, fixed_betas)
     g, specs, pinned = oracle.g, oracle.specs, oracle.pinned
-    lo, t_max = init_bounds(config)
+    lo, t_max = 0.0, max(t_loc for _, t_loc, _ in specs)
     # the certificates of the module docstring: every delay from yes_from
     # up is feasible, every delay up to no_to infeasible, with no oracle call
     yes_from, no_to, probe = math.inf, lo, math.inf

@@ -313,3 +313,111 @@ def grid_feasible_two_user(alpha, gains, cfg, n=201):
         & (bits <= window * cfg.bandwidth * np.log2(1.0 + g1 * p1 + g2 * p2))
     )
     return bool(ok.any())
+
+
+def reference_frontier_pass(alpha, window, g, specs, config):
+    """The frontier pass with both pieces of every user's SNR on the frontier.
+
+    The solver's pass inserts only each user's rising piece; this one also
+    inserts the flat piece past the knee, where the power has reached
+    p_max, as a zero-slope segment, and so takes O(M^2) steps even when no
+    piece rises. Dropping the flat pieces changes no bit of the result
+    (see the solver module docstring), which tests/test_exact_noma.py
+    checks against this copy.
+    """
+    from nomamec.solver import _LN2, _root
+
+    c = window * config.bandwidth / _LN2
+    e_max, p_max = config.e_max, config.p_max
+    floors = [
+        max(0.0, 1.0 - alpha / t_loc, 1.0 - e_max / e_loc) for _, t_loc, e_loc in specs
+    ]
+    p_floor = [
+        min(p_max, max(0.0, (e_max - e_loc * (1.0 - lo)) / alpha))
+        for lo, (_, _, e_loc) in zip(floors, specs)
+    ]
+    extra = [0.0] * len(specs)
+    segs = []
+    u0 = s0 = 0.0
+    for m, ((size, _, energy), gain, lo) in enumerate(zip(specs, g, floors)):
+        knee = min(1.0, max(lo, 1.0 - (e_max - alpha * p_max) / energy))
+        u0 += lo * size
+        s0 += gain * p_floor[m]
+        for piece in ((gain * energy / (alpha * size), m, (knee - lo) * size),
+                      (0.0, m, (1.0 - knee) * size)):
+            if piece[2] > 0.0:
+                at = 0
+                while at < len(segs) and segs[at][0] >= piece[0]:
+                    at += 1
+                segs.insert(at, list(piece))
+
+        us, ss = [u0], [s0]
+        for slope, _, length in segs:
+            us.append(us[-1] + length)
+            ss.append(ss[-1] + slope * length)
+        n = len(segs)
+
+        def k_at(i, t):
+            slope = segs[i][0] if i < n else 0.0
+            return c * math.log1p(ss[i] + slope * t) - (us[i] + t)
+
+        top, t_top = n, 0.0
+        for i, (slope, _, length) in enumerate(segs):
+            if c * slope / (1.0 + ss[i + 1]) >= 1.0:
+                continue
+            top = i
+            if slope > 0.0:
+                t_top = min(max((c * slope - 1.0 - ss[i]) / slope, 0.0), length)
+            break
+        feasible = k_at(top, t_top) >= 0.0
+        left, t_left = top, t_top
+        if feasible:
+            left, t_left = 0, 0.0
+            if k_at(0, 0.0) < 0.0:
+                while left < top and k_at(left, segs[left][2]) < 0.0:
+                    left += 1
+                if left < n:
+                    bound = t_top if left == top else segs[left][2]
+                    t_left = _root(c, us[left], ss[left], segs[left][0], bound)
+        for slope, owner, length in segs[:left]:
+            extra[owner] += length
+        u0, s0 = us[left], ss[left]
+        if left < n:
+            extra[segs[left][1]] += t_left
+            segs[left][2] -= t_left
+            u0, s0 = u0 + t_left, s0 + segs[left][0] * t_left
+        if not feasible:
+            break
+        segs = [seg for seg in segs[left:] if seg[2] > 0.0]
+
+    betas, powers = [], []
+    for (size, _, energy), lo, p_lo, more in zip(specs, floors, p_floor, extra):
+        betas.append(min(1.0, lo + more / size))
+        powers.append(min(p_max, p_lo + energy * more / (alpha * size)))
+    return feasible, betas, powers
+
+
+def reference_relaxed_delay(g, specs, config):
+    """The solver's _relaxed_delay for free ratios, every prefix root summed afresh by sum()."""
+    from nomamec.solver import _LN2
+
+    band, p_max = config.bandwidth, config.p_max
+    snr = alpha_r = 0.0
+    prefix = []
+    for (size, t_loc, _), gain in zip(specs, g):
+        snr += gain * p_max
+        rate = band * math.log1p(snr) / _LN2
+        prefix.append((size, t_loc))
+        active = prefix
+        while True:
+            root = sum(s for s, _ in active) / (rate + sum(s / t for s, t in active))
+            kept = [(s, t) for s, t in active if t > root]
+            if len(kept) in (0, len(active)):
+                break
+            active = kept
+        alpha_r = max(alpha_r, root)
+    exact = all(
+        e_loc * min(1.0, alpha_r / t_loc) + alpha_r * p_max <= config.e_max
+        for _, t_loc, e_loc in specs
+    )
+    return alpha_r, exact

@@ -29,7 +29,6 @@ from nomamec import (
     check_feasibility,
     full_local_delay,
     generate_channels,
-    init_bounds,
     lambert_wm1,
     local_time,
     max_violation,
@@ -110,7 +109,7 @@ def test_c2_bss_closed_form_agreement():
 
 def test_c3_iteration_count():
     realization, cfg = s1_scenario()
-    lo, hi = init_bounds(cfg)
+    lo, hi = 0.0, max(u.local_full_time for u in cfg.users)
     res = bss_solve(realization, cfg, eps=1e-4)
     ok = (lo, hi) == (0.0, 1.6) and res.iterations == 14
     width = hi - lo
@@ -193,7 +192,7 @@ def test_c6_monotone_feasibility_and_dominance():
     while pairs < 200:
         n = int(rng.integers(2, 5))
         realization, cfg = draw_envelope_scenario(rng, n_users=n)
-        hi = init_bounds(cfg)[1]
+        hi = max(u.local_full_time for u in cfg.users)
         a_lo, a_hi = np.sort(rng.uniform(0.05 * hi, 1.2 * hi, 2))
         if a_hi - a_lo < 1e-6:
             continue

@@ -167,6 +167,29 @@ class TestBadNumbers:
         assert not caught, [str(w.message) for w in caught]
         assert "noise_density_dbm" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where, overrides, user", [
+        ("cell_radius_m", {"cell_radius_m": 1e300}, {}),
+        ("cell_radius_m", {"path_loss_exp": 200}, {}),
+        ("users[1].distance_m", {}, {"distance_m": 1e300}),
+        # d^alpha = 1e300 is finite, but (1 + d^alpha) N0 B is not: the gain is 0
+        ("users[1].distance_m", {"noise_density_dbm": 100}, {"distance_m": 1e150}),
+    ])
+    @pytest.mark.parametrize("command", [
+        ("solve",), ("sweep", "--axis", "p_max", "--values", "0.01"), ("verify",),
+    ])
+    def test_path_loss_out_of_range_exit_2(self, tmp_path, capsys, monkeypatch, command,
+                                           where, overrides, user):
+        # d^alpha overflowed in numpy's power with a RuntimeWarning, and the
+        # gain of 0 ended in an error naming no field
+        monkeypatch.setenv("NOMAMEC_OUT", str(tmp_path))
+        spec = {"task_bits": 1.6e6, "cycles_per_bit": 1e3, "cpu_freq_hz": 1e9, "kappa": 1e-27}
+        path = write_config(tmp_path, users=[spec, dict(spec, **user)], **overrides)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command[0], path, *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert f"{where} and path_loss_exp" in err, err
+
     @pytest.mark.parametrize("user, argv", [
         # cpu_freq**2 raised OverflowError
         ({"cpu_freq_hz": 1e160}, ["solve"]),

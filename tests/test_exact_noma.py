@@ -28,6 +28,7 @@ from conftest import (
     draw_envelope_scenario,
     grid_feasible_two_user,
     minimax,
+    reference_frontier_pass,
     residuals,
     s1_config,
 )
@@ -49,6 +50,45 @@ def solved_draws(count, seed, users=(2, 8)):
             yield realization, cfg, bss_solve(realization, cfg, eps=1e-7).optimal_delay
         except InfeasibleScenarioError:
             continue
+
+
+def test_rising_frontier_equals_the_two_piece_pass():
+    # the pass keeps only rising segments; the reference also keeps the
+    # flat piece past each knee. Envelope draws, M 1-8, p_max up to 0.05
+    # and 1 W, e_max 10^U(-2, 1.3) J, delays on both sides of the optimum,
+    # windows alpha and alpha - c_s W: the same verdict and witness, bit
+    # for bit
+    rng = np.random.default_rng(23)
+    kinds = {"feasible": 0, "infeasible": 0, "knee inside": 0, "no rising piece": 0}
+    triples = 0
+    while triples < 2000:
+        n = int(rng.integers(1, 9))
+        realization, cfg = draw_envelope_scenario(
+            rng, p_max_high=1.0 if triples % 2 else 0.05, n_users=n)
+        cfg = replace(cfg, e_max=float(10 ** rng.uniform(-2.0, 1.3)))
+        g, specs = realization.gains, solver._specs(cfg)
+        try:
+            centre = bss_solve(realization, cfg, eps=1e-6).optimal_delay
+        except InfeasibleScenarioError:
+            centre = max(t_loc for _, t_loc, _ in specs)
+        coef = 1e3 / 10 ** rng.uniform(9.5, 10.5)  # a server's seconds per bit
+        for alpha in centre * 10 ** rng.uniform(-0.3, 0.3, 4):
+            alpha = float(alpha)
+            got = solver._frontier_pass(alpha, alpha, g, specs, cfg)
+            window = alpha - coef * solver._offloaded_bits(specs, got[1])
+            windows = [alpha] + ([window] if window > 0.0 else [])
+            for w in windows:
+                got = solver._frontier_pass(alpha, w, g, specs, cfg)
+                assert repr(got) == repr(reference_frontier_pass(alpha, w, g, specs, cfg)), (
+                    alpha, w, g, cfg)
+                triples += 1
+                kinds["feasible" if got[0] else "infeasible"] += 1
+                knees = [1.0 - (cfg.e_max - alpha * cfg.p_max) / e_loc for _, _, e_loc in specs]
+                if any(0.0 < knee < 1.0 for knee in knees):
+                    kinds["knee inside"] += 1
+                if all(knee <= 0.0 for knee in knees):
+                    kinds["no rising piece"] += 1
+    assert min(kinds.values()) >= 200, kinds
 
 
 def test_two_user_verdict_agrees_with_grid(no_slsqp):

@@ -15,10 +15,13 @@ finite-capacity server, which runs the fixed-point oracle.
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from nomamec import InfeasibleScenarioError, ScenarioConfig, ServerSpec, UserSpec, bss_solve
 from nomamec.cli import main
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "s1.json"
@@ -92,3 +95,66 @@ def test_output_bytes_unchanged(tmp_path, capsys, name):
         got = _sweep(tmp_path, kind, int(master), *map(float, budget))
     capsys.readouterr()
     assert got == GOLDEN[name]
+
+
+def _solver_draw(rng: np.random.Generator, k: int):
+    """(gains, config, fixed_betas) of solver-digest draw k.
+
+    Every number is a Python float from the generator's scalar draws and
+    Python arithmetic: the gains are sorted 10**uniform values, not
+    d^alpha, so numpy's SIMD pow cannot move them.
+    """
+    m = int(rng.integers(1, 9))
+    users = tuple(
+        UserSpec(
+            task_bits=rng.uniform(0.5e6, 3e6),
+            cycles_per_bit=1e3,
+            cpu_freq=1e9,
+            kappa=10.0 ** rng.uniform(-28.0, -26.7),
+        )
+        for _ in range(m)
+    )
+    gains = sorted(10.0 ** rng.uniform(3.0, 8.0) for _ in range(m))
+    p_max_high = 0.05 if k % 2 else 1.0
+    server = None
+    if k % 3 == 0:
+        server = ServerSpec(cycles_per_bit=1e3, cpu_freq=10.0 ** rng.uniform(9.5, 10.5),
+                            kappa=1e-28)
+    config = ScenarioConfig(
+        bandwidth=1e6,
+        noise_density_dbm=-174.0,
+        users=users,
+        p_max=10.0 ** rng.uniform(math.log10(0.005), math.log10(p_max_high)),
+        e_max=10.0 ** rng.uniform(-2.0, 1.3),
+        server=server,
+    )
+    pinned = None
+    if k % 10 == 5:
+        pinned = tuple(rng.uniform(0.0, 1.0) for _ in range(m))
+    return gains, config, pinned
+
+
+def _solver_digest(count: int = 120, seed: int = 23) -> str:
+    rng = np.random.default_rng(seed)
+    h = hashlib.sha256()
+    for k in range(count):
+        gains, config, pinned = _solver_draw(rng, k)
+        try:
+            res = bss_solve(gains, config, eps=1e-4, fixed_betas=pinned)
+        except InfeasibleScenarioError as exc:
+            h.update(f"{k} infeasible {exc}\n".encode())
+            continue
+        alloc = res.allocation
+        h.update(repr((k, res.optimal_delay, res.trace, alloc.betas, alloc.powers,
+                       res.feasibility_residual, res.converged)).encode() + b"\n")
+    return h.hexdigest()
+
+
+SOLVER_DIGEST = "db302dd4007aa0f39899dac006fb337a5b2070bb0257d139cc04f119cfce2fd6"
+
+
+def test_solver_results_unchanged():
+    # bss_solve on 120 draws, M 1-8: slack and binding budgets, a server
+    # on every third draw, pinned ratios on every tenth; delay, trace,
+    # allocation, residual and converged, or the error text
+    assert _solver_digest() == SOLVER_DIGEST

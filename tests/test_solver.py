@@ -22,7 +22,6 @@ from nomamec import (
     bss_solve,
     check_feasibility,
     generate_channels,
-    init_bounds,
     max_violation,
     reorder_users,
     solve_noma_full_offload,
@@ -31,6 +30,7 @@ from nomamec import (
 from conftest import (
     draw_envelope_scenario,
     feasible_two_user_scenarios,
+    reference_relaxed_delay,
     reference_two_user,
     residuals,
     s1_config,
@@ -55,9 +55,18 @@ def light_users_config(**overrides):
     return ScenarioConfig(**defaults)
 
 
+def t_max(cfg) -> float:
+    """The bisection's bracket top: the worst fully-local compute time."""
+    return max(u.local_full_time for u in cfg.users)
+
+
 class TestInitBounds:
+    # bss_solve brackets the delay by [0, T_max]: its first halving is T_max / 2
     def test_s1_parameters(self):
-        assert init_bounds(s1_config()) == (0.0, pytest.approx(1.6))
+        cfg = s1_config()
+        assert t_max(cfg) == pytest.approx(1.6)
+        res = bss_solve(ChannelRealization(gains=(1e5, 1e6)), cfg, eps=1e-4)
+        assert res.trace[0][0] == 0.5 * t_max(cfg)
 
     def test_max_over_users(self):
         cfg = light_users_config(
@@ -67,7 +76,9 @@ class TestInitBounds:
                 UserSpec(1.0e6, 1e3, 1e9, 1e-28),
             )
         )
-        assert init_bounds(cfg)[1] == pytest.approx(2.0)
+        assert t_max(cfg) == pytest.approx(2.0)
+        res = bss_solve(ChannelRealization(gains=(1e5, 1e6, 1e7)), cfg, eps=1e-4)
+        assert res.trace[0][0] == 0.5 * t_max(cfg)
 
     def test_zero_task_forbidden(self):
         with pytest.raises(UsageError):
@@ -171,7 +182,7 @@ class TestBisection:
         realization, cfg = s1
         res = bss_solve(realization, cfg, eps=1e-4)
         assert res.iterations == 14 == len(res.trace)
-        lo, hi = init_bounds(cfg)
+        lo, hi = 0.0, t_max(cfg)
         width = hi - lo
         for mid, feasible in res.trace:
             assert mid == pytest.approx(0.5 * (lo + hi), rel=1e-14)
@@ -240,7 +251,7 @@ class TestBisection:
         )
         gains_raw = np.array([1e13, 2e13])  # normalized by the tiny noise power
         res = bss_solve(ChannelRealization(gains=tuple(gains_raw)), cfg, eps=1e-7)
-        alpha_max = init_bounds(cfg)[1]
+        alpha_max = t_max(cfg)
         assert res.optimal_delay >= 0.9 * alpha_max
         assert max(res.allocation.betas) <= 1e-2
 
@@ -349,6 +360,27 @@ class TestRelaxedDelay:
                 exact["free" if pinned is None else "pinned"] += 1
         assert min(exact.values()) >= 10, exact
 
+    def test_running_sums_equal_sum(self):
+        # _relaxed_delay takes each free-ratio prefix's root from running
+        # sums and sums afresh only after dropping a user; the reference
+        # sums every root with sum(): equal bit for bit
+        rng = np.random.default_rng(43)
+        dropped = 0
+        for k in range(600):
+            m = int(rng.integers(1, 9))
+            realization, cfg = draw_envelope_scenario(
+                rng, p_max_high=1.0 if k % 2 else 0.05, n_users=m)
+            # local CPUs 0.5 to 20 GHz, so some users' floors reach 0
+            users = tuple(replace(u, cpu_freq=float(10 ** rng.uniform(8.7, 10.3)))
+                          for u in cfg.users)
+            cfg = replace(cfg, users=users, e_max=float(10 ** rng.uniform(-2.0, 1.3)))
+            g, specs = realization.gains, solver._specs(cfg)
+            got = solver._relaxed_delay(g, specs, cfg)
+            assert repr(got) == repr(reference_relaxed_delay(g, specs, cfg))
+            if got[0] >= min(t for _, t, _ in specs):
+                dropped += 1
+        assert dropped >= 100, dropped
+
     def test_two_user_case1(self):
         # with both budgets slack the closed form's Case1 is the optimum:
         # the total-bits rate constraint and both local times bind
@@ -387,9 +419,9 @@ class TestRelaxedDelay:
             spent = max(u.local_full_energy * share for u, share in zip(cfg.users, local))
             scale = rng.uniform(0.2, 0.9) if rng.random() < 0.5 else rng.uniform(1.0, 3.0)
             cfg = replace(cfg, e_max=float(spent + scale * alpha_r * cfg.p_max))
-            t_max = max(u.local_full_time for u in cfg.users)
             try:
-                opt = bss_solve(realization, cfg, eps=1e-7 * t_max, fixed_betas=pinned).optimal_delay
+                opt = bss_solve(realization, cfg, eps=1e-7 * t_max(cfg),
+                                fixed_betas=pinned).optimal_delay
             except InfeasibleScenarioError:
                 continue
             oracle = solver._Oracle(realization, cfg, pinned)
@@ -575,7 +607,7 @@ class TestOptimumStructure:
                 b_tot = sum(u.cpu_freq / u.cycles_per_bit for u in users)
                 r_max = sum_rate(realization, [cfg.p_max] * m, cfg.bandwidth, m)
                 assert res.optimal_delay >= a_tot / (b_tot + r_max) - 2e-4
-                assert res.optimal_delay <= init_bounds(run)[1] + 1e-9
+                assert res.optimal_delay <= t_max(run) + 1e-9
                 assert res.optimal_delay >= prev - 2e-4
                 prev = res.optimal_delay
         assert solved >= 40
@@ -604,7 +636,7 @@ class TestConvexityAndMonotonicity:
         flips = 0
         for i in range(40):
             realization, cfg = draw_envelope_scenario(rng)
-            lo, hi = init_bounds(cfg)
+            lo, hi = 0.0, t_max(cfg)
             a1, a2 = sorted(rng.uniform(0.05 * hi, 1.2 * hi, 2))
             r1 = check_feasibility(a1, realization, cfg)
             if not r1.feasible:
