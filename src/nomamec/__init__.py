@@ -27,7 +27,6 @@ from .lambertw import lambert_wm1
 from .model import (
     Allocation,
     ChannelRealization,
-    DelayBreakdown,
     ScenarioConfig,
     ServerSpec,
     UsageError,
@@ -36,7 +35,6 @@ from .model import (
     local_energy,
     local_time,
     offload_energy,
-    server_energy,
     server_time,
     sinr,
     sum_rate,
@@ -66,7 +64,6 @@ __all__ = [
     "Allocation",
     "ChannelRealization",
     "ConfigError",
-    "DelayBreakdown",
     "EqualTimeInfeasible",
     "FeasibilityReport",
     "InfeasibleScenarioError",
@@ -96,7 +93,6 @@ __all__ = [
     "p2_water",
     "reorder_users",
     "rng_for",
-    "server_energy",
     "server_time",
     "sinr",
     "solve_noma_full_offload",

@@ -441,8 +441,9 @@ def _cmd_verify(args) -> int:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first main call and kept for the process.
+def _parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and each subcommand's parser by name, built on
+    the first main call and kept for the process.
 
     The subcommands bind the _cmd_* functions, which look up the library
     functions they call on this module at call time.
@@ -481,11 +482,41 @@ def _parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--gains", default=None,
                           help="comma-separated gain override (testing hook)")
     p_verify.set_defaults(func=_cmd_verify)
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """The namespace the top-level parser gives argv, parsed once.
+
+    When argv[0] names a subcommand, that subcommand's parser reads the
+    rest directly; the top-level parser would classify every argument and
+    then hand the same ones over. Arguments the subcommand does not know
+    are still reported by the top-level parser, under its usage line.
+    """
+    parser, commands = _parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:  # no arguments, a top-level option or an unknown command
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    """Run one command line (sys.argv[1:] by default); returns the exit code.
+
+    When argv[0] is solve, sweep or verify, that subcommand's parser reads
+    the rest; any other argv (none, -h, --version, an unknown command)
+    goes to the top-level parser. Both give the namespace, messages and
+    exit codes of one top-level parse (see _parse). A usage error prints
+    the usage line of the parser that found it and raises SystemExit(2);
+    an argument the subcommand does not know is the top-level parser's
+    error, "nomamec: error: unrecognized arguments: ...". -h and --version
+    raise SystemExit(0). A ConfigError or UsageError raised by the command
+    prints "error: ..." to stderr and returns 2.
+    """
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except (ConfigError, UsageError) as exc:

@@ -34,7 +34,6 @@ __all__ = [
     "local_energy",
     "offload_energy",
     "server_time",
-    "server_energy",
     "total_delay",
 ]
 
@@ -350,17 +349,6 @@ def server_time(betas: Sequence[float], users: Sequence[UserSpec], server: Optio
         raise UsageError("server_time requires a configured server")
     bits = sum(b * u.task_bits for b, u in zip(betas, users))
     return bits * server.cycles_per_bit / server.cpu_freq
-
-
-def server_energy(betas: Sequence[float], users: Sequence[UserSpec], server: Optional[ServerSpec]) -> float:
-    """Edge compute energy: kappa_S * (sum beta_m L_m) * f_S^2.
-
-    Reported metric only; no constraint consumes it.
-    """
-    if server is None:
-        raise UsageError("server_energy requires a configured server")
-    bits = sum(b * u.task_bits for b, u in zip(betas, users))
-    return server.kappa * bits * server.cpu_freq**2
 
 
 def total_delay(alloc: Allocation, gains, config: ScenarioConfig) -> DelayBreakdown:

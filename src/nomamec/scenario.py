@@ -141,7 +141,9 @@ def reorder_users(config: ScenarioConfig, realization: ChannelRealization) -> Sc
     """Config whose user list is aligned with the sorted gains.
 
     Each user keeps its own task parameters; only the decode position
-    changes.
+    changes. An identity order returns config itself, unrebuilt.
     """
-    users = tuple(config.users[i] for i in realization.sic_order)
-    return replace(config, users=users)
+    order = realization.sic_order
+    if order == tuple(range(len(config.users))):
+        return config
+    return replace(config, users=tuple(config.users[i] for i in order))

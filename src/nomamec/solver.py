@@ -56,8 +56,14 @@ rising segments on the frontier, so the pass takes O(M^2) scalar steps
 at most. When no piece rises it takes O(M): if every power sits at
 p_max at its floor (E_j (1 - lo_j) + alpha p_max <= e_max for every j,
 as when every budget is slack), the frontier stays empty and each
-user's step is the one check K_m >= 0 at the floors. There is no
-iterative search beyond the roots.
+user's step is the one check K_m >= 0 at the floors. Its witness is
+then every ratio at its floor lo_j and every power at its energy cap
+there, whether or not some K_m fails, and its verdict is that witness's
+residual (the rule below), so no K_m needs checking: the oracle builds
+the witness and evaluates its rows in one loop over the users, in the
+pass's and the residual's expression order, and hands over to the full
+pass and a separate residual at the first user whose piece rises.
+There is no iterative search beyond the roots.
 
 One user with free ratios and no server (every OFDMA subproblem) is
 decided exactly in O(1). At delay alpha the largest share the rate
@@ -73,9 +79,10 @@ Pinned ratios (``fixed_betas``, as in full offloading), with or without a
 server, are decided in O(M) scalar steps. Each power sits at its energy
 cap clip((e_max - E_j (1 - beta_j)) / alpha, 0, p_max), and with the
 ratios fixed the server time c sum_j beta_j L_j is a constant, so every
-rate constraint sees the window alpha - c sum_j beta_j L_j. The fully
-local time T_max bounds nothing here, so bss_solve doubles its bracket
-top from T_max until the oracle finds it feasible.
+rate constraint sees the window alpha - c sum_j beta_j L_j. Given that
+window, one loop over the users sets each capped power and evaluates
+its rows. The fully local time T_max bounds nothing here, so bss_solve
+doubles its bracket top from T_max until the oracle finds it feasible.
 
 Free ratios with a server, any number of users: a fixed point of
 frontier passes. Write W for the total offloaded bits sum_j beta_j L_j
@@ -546,22 +553,6 @@ def _frontier_pass(alpha: float, window: float, g, specs, config: ScenarioConfig
     return feasible, betas, powers
 
 
-def _exact_pinned(alpha: float, g, specs, config: ScenarioConfig, betas: tuple) -> tuple:
-    """(betas, powers, residual) for pinned ratios, with or without a server.
-
-    Every power sits at its energy cap (see the module docstring); with
-    the ratios fixed the server time, and so the rate window, is a
-    constant.
-    """
-    e_max, p_max = config.e_max, config.p_max
-    powers = [
-        min(max((e_max - e_loc * (1.0 - beta)) / alpha, 0.0), p_max)
-        for (_, _, e_loc), beta in zip(specs, betas)
-    ]
-    window = _rate_window(alpha, config, specs, betas)
-    return betas, powers, _max_residual(alpha, window, g, specs, config, betas, powers)
-
-
 def _relaxed_delay(g, specs, config: ScenarioConfig, pinned=None) -> tuple:
     """(alpha_r, exact): the least delay with every energy budget dropped, no server.
 
@@ -753,6 +744,7 @@ class _Oracle:
         self.config = config
         self.specs = _specs(config)
         self.coef = _server_coef(config)
+        self.t_max = max(t_loc for _, t_loc, _ in self.specs)
 
     def report(self, alpha: float) -> FeasibilityReport:
         """Verdict and witness at delay alpha."""
@@ -772,20 +764,57 @@ class _Oracle:
         """(betas, powers, residual) of the branch's witness at delay alpha > 0."""
         g, config = self.g, self.config
         if self.pinned is not None:
-            return _exact_pinned(alpha, g, self.specs, config, self.pinned)
+            return self._pinned_run(alpha)
         if len(g) == 1 and config.server is None:
             return _exact_single_user(alpha, g[0], self.specs, config)
         return self._free_run(alpha)
 
+    def _pinned_run(self, alpha: float) -> tuple:
+        """Pinned ratios, with or without a server: (betas, powers, residual).
+
+        Every power sits at its energy cap (see the module docstring); with
+        the ratios fixed the server time, and so the rate window, is a
+        constant. Each capped power and its rows come from one loop, in
+        _max_residual's expression order.
+        """
+        config, betas = self.config, self.pinned
+        e_max, p_max, band, t_max = config.e_max, config.p_max, config.bandwidth, self.t_max
+        window = _rate_window(alpha, config, self.specs, betas)
+        powers = []
+        bits = snr = prefix = 0.0
+        worst = -math.inf
+        for (size, t_loc, e_loc), gain, beta in zip(self.specs, self.g, betas):
+            local = e_loc * (1.0 - beta)
+            p = min(max((e_max - local) / alpha, 0.0), p_max)
+            powers.append(p)
+            bits += beta * size
+            snr += gain * p
+            prefix += size
+            rate = band * math.log1p(snr) / _LN2
+            worst = max(
+                worst,
+                (bits - window * rate) / prefix,
+                (t_loc * (1.0 - beta) - alpha) / t_max,
+                (local + alpha * p - e_max) / e_max,
+            )
+        return betas, powers, worst
+
     def _free_run(self, alpha: float) -> tuple:
         """Free ratios: frontier passes at the windows alpha - c_s W.
 
-        W <- U_min from W = 0 (one pass without a server) until the
-        witness's residual at its own window is <= EPS_FEAS, a pass fails,
-        W stops rising or the next window is not positive. Returns
-        (betas, powers, residual).
+        Without a server the one pass is first tried as _floor_run, which
+        builds and scores the floor witness in one loop while no user's
+        SNR piece rises; at the first user whose piece rises it hands over
+        to _frontier_pass and _max_residual. Otherwise W <- U_min from
+        W = 0 until the witness's residual at its own window is
+        <= EPS_FEAS, a pass fails, W stops rising or the next window is
+        not positive. Returns (betas, powers, residual).
         """
         g, specs, config, coef = self.g, self.specs, self.config, self.coef
+        if not coef:
+            run = self._floor_run(alpha)
+            if run is not None:
+                return run
         total, window = 0.0, alpha
         while True:
             feasible, betas, powers = _frontier_pass(alpha, window, g, specs, config)
@@ -795,6 +824,42 @@ class _Oracle:
             if residual <= EPS_FEAS or not feasible or bits <= total or own <= 0.0:
                 return betas, powers, residual
             total, window = bits, own
+
+    def _floor_run(self, alpha: float) -> Optional[tuple]:
+        """The one frontier pass at window alpha while no user's piece rises.
+
+        With no rising piece the frontier stays empty, so the pass's witness
+        has every ratio at its floor and every power at its energy cap there,
+        whether or not some K_m < 0 ends the pass. Each user's floor, power
+        and rows come from one loop, in the pass's and _max_residual's
+        expression order, so (betas, powers, residual) are theirs to the bit.
+        Returns None at the first user whose piece rises.
+        """
+        config = self.config
+        e_max, p_max, band, t_max = config.e_max, config.p_max, config.bandwidth, self.t_max
+        room = e_max - alpha * p_max  # the most local energy that leaves room for p_max
+        betas, powers = [], []
+        bits = snr = prefix = 0.0
+        worst = -math.inf
+        for (size, t_loc, e_loc), gain in zip(self.specs, self.g):
+            lo = max(0.0, 1.0 - alpha / t_loc, 1.0 - e_max / e_loc)
+            if (min(1.0, max(lo, 1.0 - room / e_loc)) - lo) * size > 0.0:  # knee above lo
+                return None
+            local = e_loc * (1.0 - lo)
+            p = min(p_max, max(0.0, (e_max - local) / alpha))
+            betas.append(lo)
+            powers.append(p)
+            bits += lo * size
+            snr += gain * p
+            prefix += size
+            rate = band * math.log1p(snr) / _LN2
+            worst = max(
+                worst,
+                (bits - alpha * rate) / prefix,
+                (t_loc * (1.0 - lo) - alpha) / t_max,
+                (local + alpha * p - e_max) / e_max,
+            )
+        return betas, powers, worst
 
 
 def check_feasibility(
@@ -865,8 +930,8 @@ def bss_solve(
     if not (math.isfinite(eps) and eps > 0):
         raise UsageError("eps must be finite and > 0")
     oracle = _Oracle(gains, config, fixed_betas)
-    g, specs, pinned = oracle.g, oracle.specs, oracle.pinned
-    lo, t_max = 0.0, max(t_loc for _, t_loc, _ in specs)
+    g, specs, pinned, t_max = oracle.g, oracle.specs, oracle.pinned, oracle.t_max
+    lo = 0.0
     # the certificates of the module docstring: every delay from yes_from
     # up is feasible, every delay up to no_to infeasible, with no oracle call
     yes_from, no_to, probe = math.inf, lo, math.inf

@@ -397,6 +397,46 @@ def reference_frontier_pass(alpha, window, g, specs, config):
     return feasible, betas, powers
 
 
+def reference_decide(oracle, alpha):
+    """The oracle's (betas, powers, residual) at delay alpha, composed of parts.
+
+    Pinned ratios build the capped-power list and then score it with
+    _max_residual; free ratios run _frontier_pass and then _max_residual
+    per fixed-point pass (one pass without a server). The solver fuses
+    both into one loop per user where it can, which
+    tests/test_exact_noma.py checks against this copy bit for bit.
+    """
+    from nomamec.solver import (
+        EPS_FEAS,
+        _exact_single_user,
+        _frontier_pass,
+        _max_residual,
+        _offloaded_bits,
+        _rate_window,
+    )
+
+    g, specs, config, coef = oracle.g, oracle.specs, oracle.config, oracle.coef
+    if oracle.pinned is not None:
+        betas = oracle.pinned
+        powers = [
+            min(max((config.e_max - e_loc * (1.0 - beta)) / alpha, 0.0), config.p_max)
+            for (_, _, e_loc), beta in zip(specs, betas)
+        ]
+        window = _rate_window(alpha, config, specs, betas)
+        return betas, powers, _max_residual(alpha, window, g, specs, config, betas, powers)
+    if len(g) == 1 and config.server is None:
+        return _exact_single_user(alpha, g[0], specs, config)
+    total, window = 0.0, alpha
+    while True:
+        feasible, betas, powers = _frontier_pass(alpha, window, g, specs, config)
+        bits = coef and _offloaded_bits(specs, betas)
+        own = alpha - coef * bits
+        residual = _max_residual(alpha, own, g, specs, config, betas, powers)
+        if residual <= EPS_FEAS or not feasible or bits <= total or own <= 0.0:
+            return betas, powers, residual
+        total, window = bits, own
+
+
 def reference_relaxed_delay(g, specs, config):
     """The solver's _relaxed_delay for free ratios, every prefix root summed afresh by sum()."""
     from nomamec.solver import _LN2

@@ -721,3 +721,76 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, env=_src_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: nomamec") and "solve" in proc.stdout
+
+
+CFG = "configs/s1.json"
+TOP_USAGE = "usage: nomamec [-h] [--version] {solve,sweep,verify} ...\n"
+SOLVE_USAGE = (
+    "usage: nomamec solve [-h] [--method {auto,bss,closed-form}] [--eps EPS]\n"
+    "                     [--trial TRIAL] [--out OUT]\n"
+    "                     config\n"
+)
+# (argv, exit code, stdout, stderr), as the top-level parser with its
+# subcommands gives them at 80 columns
+PARSE_CASES = [
+    ([], 2, "", TOP_USAGE + "nomamec: error: the following arguments are required: command\n"),
+    (["--version"], 0, "0.1.0\n", ""),
+    (["frob"], 2, "",
+     TOP_USAGE + "nomamec: error: argument command: invalid choice: 'frob' "
+     "(choose from 'solve', 'sweep', 'verify')\n"),
+    (["solve"], 2, "",
+     SOLVE_USAGE + "nomamec solve: error: the following arguments are required: config\n"),
+    (["solve", "-h"], 0,
+     SOLVE_USAGE + "\npositional arguments:\n  config\n\noptions:\n"
+     "  -h, --help            show this help message and exit\n"
+     "  --method {auto,bss,closed-form}\n  --eps EPS\n  --trial TRIAL\n  --out OUT\n",
+     ""),
+    (["solve", CFG, "--bogus", "1"], 2, "",
+     TOP_USAGE + "nomamec: error: unrecognized arguments: --bogus 1\n"),
+    (["sweep", CFG, "--axis", "nope", "--values", "1"], 2, "",
+     "usage: nomamec sweep [-h] --axis {task_bits,p_max,e_max,user_count,bandwidth}\n"
+     "                     --values VALUES [--schemes SCHEMES] [--seeds SEEDS]\n"
+     "                     [--eps EPS] [--pc PC] [--fixed-channels] [--out OUT]\n"
+     "                     [--basename BASENAME]\n"
+     "                     config\n"
+     "nomamec sweep: error: argument --axis: invalid choice: 'nope' (choose from "
+     "'task_bits', 'p_max', 'e_max', 'user_count', 'bandwidth')\n"),
+    (["sweep", CFG, "--axis", "p_max", "--values", "1", "--eps-feas", "1e-8"], 2, "",
+     TOP_USAGE + "nomamec: error: unrecognized arguments: --eps-feas 1e-8\n"),
+    (["solve", CFG, "--meth", "bss"], 0,
+     "scenario: configs/s1.json (users=2, seed=(0,0))\n"
+     "method: bss\n"
+     "optimal delay: 1.8500976562500004e-01 s    iterations: 14\n"
+     "user  gain_per_w              beta                    power_w\n"
+     "1     2.9171921229898563e+05  8.8430639648437492e-01  1.0000000000000000e-02\n"
+     "2     3.7382910707656108e+06  8.8430639648437492e-01  1.0000000000000000e-02\n",
+     ""),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", PARSE_CASES, ids=lambda x: repr(x)[:40])
+def test_one_pass_parse_prints_what_the_top_level_parser_did(
+        argv, code, out, err, tmp_path, capsys, monkeypatch):
+    # main hands argv[0]'s subcommand the rest directly; messages, usage
+    # lines and exit codes stay those of the top-level parse
+    monkeypatch.chdir(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setenv("NOMAMEC_OUT", str(tmp_path))
+    try:
+        got = main(list(argv))
+    except SystemExit as exc:
+        got = exc.code
+    assert (got, *capsys.readouterr()) == (code, out, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", CFG],
+    ["solve", CFG, "--meth", "bss", "--eps=1e-3", "--trial", "2", "--out", "d"],
+    ["solve", "--", CFG],
+    ["sweep", CFG, "--axis", "p_max", "--values", "1,2", "--fixed", "--pc", "0.2"],
+    ["verify", CFG, "--gains", "1e5,2e5"],
+])
+def test_one_pass_parse_gives_the_top_level_namespace(argv):
+    from nomamec import cli
+
+    assert cli._parse(argv) == cli._parser()[0].parse_args(argv)

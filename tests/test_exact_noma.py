@@ -16,6 +16,7 @@ from nomamec import (
     ChannelRealization,
     InfeasibleScenarioError,
     ScenarioConfig,
+    ServerSpec,
     UserSpec,
     bss_solve,
     check_feasibility,
@@ -28,6 +29,7 @@ from conftest import (
     draw_envelope_scenario,
     grid_feasible_two_user,
     minimax,
+    reference_decide,
     reference_frontier_pass,
     residuals,
     s1_config,
@@ -89,6 +91,51 @@ def test_rising_frontier_equals_the_two_piece_pass():
                 if all(knee <= 0.0 for knee in knees):
                     kinds["no rising piece"] += 1
     assert min(kinds.values()) >= 200, kinds
+
+
+def test_fused_decide_equals_the_composed_oracle():
+    # _Oracle._decide builds the floor witness (free ratios, no server)
+    # and the pinned witness in one loop with their rows; the reference
+    # composes the pass or the capped-power list with _max_residual.
+    # Envelope draws, M 1-8, p_max up to 0.05 and 1 W, e_max 2 J (every
+    # budget slack, as in fig-users) or 10^U(-1.3, 0.5) J (binding draws,
+    # where the loop hands over to the pass), delays on both sides of the
+    # optimum, pinned ratios U(0, 1) with and without a server: the same
+    # (betas, powers, residual), bit for bit
+    rng = np.random.default_rng(29)
+    server = ServerSpec(cycles_per_bit=1e3, cpu_freq=1e10, kappa=1e-28)
+    kinds = dict.fromkeys(
+        ("floor run", "hand over", "feasible", "infeasible", "pinned", "pinned server"), 0)
+    pairs = 0
+    while pairs < 2000:
+        n = int(rng.integers(1, 9))
+        realization, cfg = draw_envelope_scenario(
+            rng, p_max_high=1.0 if pairs % 2 else 0.05, n_users=n)
+        slack = rng.uniform() < 0.5
+        cfg = replace(cfg, e_max=2.0 if slack else float(10 ** rng.uniform(-1.3, 0.5)))
+        try:
+            centre = bss_solve(realization, cfg, eps=1e-6).optimal_delay
+        except InfeasibleScenarioError:
+            centre = max(u.local_full_time for u in cfg.users)
+        betas = tuple(map(float, rng.uniform(0.0, 1.0, n)))
+        oracles = {
+            "free": solver._Oracle(realization, cfg),
+            "pinned": solver._Oracle(realization, cfg, betas),
+            "pinned server": solver._Oracle(realization, replace(cfg, server=server), betas),
+        }
+        for alpha in centre * 10 ** rng.uniform(-0.3, 0.3, 3):
+            alpha = float(alpha)
+            for kind, oracle in oracles.items():
+                got = oracle._decide(alpha)
+                want = reference_decide(oracle, alpha)
+                assert repr(got) == repr(want), (kind, alpha, realization, cfg)
+                pairs += 1
+                kinds["feasible" if got[2] <= solver.EPS_FEAS else "infeasible"] += 1
+                if kind != "free":
+                    kinds[kind] += 1
+                elif n > 1:
+                    kinds["hand over" if oracle._floor_run(alpha) is None else "floor run"] += 1
+    assert min(kinds.values()) >= 150, kinds
 
 
 def test_two_user_verdict_agrees_with_grid(no_slsqp):

@@ -16,7 +16,6 @@ from nomamec import (
     local_energy,
     local_time,
     offload_energy,
-    server_energy,
     server_time,
     ServerSpec,
     sinr,
@@ -193,11 +192,6 @@ class TestServer:
         srv = ServerSpec(cycles_per_bit=1e3, cpu_freq=1e9, kappa=1e-28)
         users = [make_user(), make_user()]
         assert server_time([1.0, 1.0], users, srv) == pytest.approx(3.2)
-
-    def test_energy_formula(self):
-        srv = ServerSpec(cycles_per_bit=1e3, cpu_freq=1e9, kappa=1e-28)
-        users = [make_user(L=1e6)]
-        assert server_energy([1.0], users, srv) == pytest.approx(1e-28 * 1e6 * 1e18)
 
     def test_missing_server(self):
         with pytest.raises(UsageError):

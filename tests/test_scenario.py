@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import kstest
 
 from nomamec import (
+    ChannelRealization,
     ScenarioConfig,
     Seed,
     UserSpec,
@@ -115,6 +116,17 @@ class TestSortingAndPairing:
         assert sorted(u.task_bits for u in ordered.users) == [1.0e6, 2.0e6, 3.0e6]
         for slot, original in enumerate(real.sic_order):
             assert ordered.users[slot] == cfg.users[original]
+
+    def test_identity_order_returns_the_config_itself(self):
+        users = tuple(UserSpec(bits, 1e3, 1e9, 1e-28) for bits in (1.0e6, 2.0e6, 3.0e6))
+        cfg = ScenarioConfig(
+            bandwidth=1e6, noise_density_dbm=-174.0, users=users, p_max=0.01, e_max=0.2
+        )
+        gains = (1.0, 2.0, 3.0)
+        assert reorder_users(cfg, ChannelRealization(gains, (0, 1, 2))) is cfg
+        permuted = reorder_users(cfg, ChannelRealization(gains, (2, 0, 1)))
+        assert permuted is not cfg
+        assert permuted.users == tuple(cfg.users[i] for i in (2, 0, 1))
 
 
 class TestStatistics:
