@@ -59,10 +59,11 @@ as when every budget is slack), the frontier stays empty and each
 user's step is the one check K_m >= 0 at the floors. Its witness is
 then every ratio at its floor lo_j and every power at its energy cap
 there, whether or not some K_m fails, and its verdict is that witness's
-residual (the rule below), so no K_m needs checking: the oracle builds
-the witness and evaluates its rows in one loop over the users, in the
-pass's and the residual's expression order, and hands over to the full
-pass and a separate residual at the first user whose piece rises.
+residual (the rule below), so no K_m needs checking. The oracle checks
+the floors for a rising piece first; with none, it builds the witness
+and evaluates its rows in the capped-power loop that pinned ratios use
+(below), in the pass's and the residual's expression order, and
+otherwise it hands over to the full pass and a separate residual.
 There is no iterative search beyond the roots.
 
 One user with free ratios and no server (every OFDMA subproblem) is
@@ -80,8 +81,8 @@ server, are decided in O(M) scalar steps. Each power sits at its energy
 cap clip((e_max - E_j (1 - beta_j)) / alpha, 0, p_max), and with the
 ratios fixed the server time c sum_j beta_j L_j is a constant, so every
 rate constraint sees the window alpha - c sum_j beta_j L_j. Given that
-window, one loop over the users sets each capped power and evaluates
-its rows. The fully local time T_max bounds nothing here, so bss_solve
+window, the capped-power loop sets each power and evaluates its rows.
+The fully local time T_max bounds nothing here, so bss_solve
 doubles its bracket top from T_max until the oracle finds it feasible.
 
 Free ratios with a server, any number of users: a fixed point of
@@ -151,9 +152,10 @@ relaxed allocation: every power at p_max, the rate window alpha, free
 ratios at the frontier pass's floors max(0, 1 - alpha/T_j, 1 -
 e_max/E_j), pinned ratios at their value with their local rows too. No
 witness any branch builds at alpha has a smaller residual, in floats:
-the bound keeps _max_residual's expression order, and rounding is
-monotone, so a row cannot fall when its prefix bits do not fall and its
-window times rate does not rise. Per branch:
+its rate rows come from _p_max_rows, the one loop that evaluates rows at
+p_max, in _max_residual's expression order, and rounding is monotone, so
+a row cannot fall when its prefix bits do not fall and its window times
+rate does not rise. Per branch:
 - frontier pass (two or more users, no server): each ratio is its floor
   plus offloaded bits, capped at 1, each power is capped at p_max, and
   the window is alpha, so every rate row is at least the bound's;
@@ -195,11 +197,11 @@ comes from the sorted breaks: between two of them every row is a line,
 the rows that fall through zero bound the delay from below and those
 that rise through it from above. That takes O(M^2) steps and no
 iterative search. bss_solve evaluates A's rate rows at alpha_c = alpha_u
-(1 + 1e-6) in _max_residual's expression order. When every row is <= 0
-and alpha_c p_max <= e_max, the exact problem is feasible at alpha_c, and
-at every larger delay by the power scaling of the upper certificate, so
-alpha_c is the feasible end: no bracket top or halving at or above it
-asks the oracle.
+(1 + 1e-6) with _p_max_rows, in _max_residual's expression order. When
+every row is <= 0 and alpha_c p_max <= e_max, the exact problem is
+feasible at alpha_c, and at every larger delay by the power scaling of
+the upper certificate, so alpha_c is the feasible end: no bracket top or
+halving at or above it asks the oracle.
 
 The probe. alpha_u bounds the optimum only from above, so bss_solve asks
 the oracle once at alpha_u (1 - 1e-6), when that delay lies inside the
@@ -436,6 +438,12 @@ def _exact_single_user(alpha: float, g: float, specs, config: ScenarioConfig) ->
     return (beta,), (p,), _max_residual(alpha, alpha, (g,), specs, config, (beta,), (p,))
 
 
+def _floors(alpha: float, specs, e_max: float) -> list:
+    """Each free ratio's least share at delay alpha: the local-time bound and
+    a budget that leaves p >= 0."""
+    return [max(0.0, 1.0 - alpha / t_loc, 1.0 - e_max / e_loc) for _, t_loc, e_loc in specs]
+
+
 def _root(c: float, u: float, s: float, slope: float, bound: float) -> float:
     """Newton along one frontier segment for the zero of K, from its start, where K < 0.
 
@@ -473,11 +481,8 @@ def _frontier_pass(alpha: float, window: float, g, specs, config: ScenarioConfig
     """
     c = window * config.bandwidth / _LN2  # prefix m needs c ln(1 + S) >= U
     e_max, p_max = config.e_max, config.p_max
-    # least share (the local-time bound, and a budget that leaves p >= 0)
-    # and the power at the energy cap there
-    floors = [
-        max(0.0, 1.0 - alpha / t_loc, 1.0 - e_max / e_loc) for _, t_loc, e_loc in specs
-    ]
+    # least share and the power at the energy cap there
+    floors = _floors(alpha, specs, e_max)
     p_floor = [
         min(p_max, max(0.0, (e_max - e_loc * (1.0 - lo)) / alpha))
         for lo, (_, _, e_loc) in zip(floors, specs)
@@ -609,9 +614,9 @@ def _relaxed_residual(alpha: float, g, specs, config: ScenarioConfig, pinned=Non
     rate window alpha, the free ratios at the frontier pass's floors and
     pinned ratios at their value, which also get their local rows. One user
     with a free ratio and no server takes the local row at the largest
-    share p_max allows instead. Each row keeps _max_residual's expression
-    order, so the bound holds in floats, and it does not rise with alpha
-    (see the module docstring).
+    share p_max allows instead. The rate rows come from _p_max_rows and the
+    local rows keep _max_residual's expression order too, so the bound holds in
+    floats, and it does not rise with alpha (see the module docstring).
     """
     band, p_max = config.bandwidth, config.p_max
     if pinned is None and len(g) == 1 and config.server is None:
@@ -619,21 +624,26 @@ def _relaxed_residual(alpha: float, g, specs, config: ScenarioConfig, pinned=Non
         rate = band * math.log1p(g[0] * p_max) / _LN2
         beta = min(1.0, alpha * rate / size)
         return (t_loc * (1.0 - beta) - alpha) / t_loc
+    if pinned is None:
+        return max(_p_max_rows(alpha, g, specs, config, _floors(alpha, specs, config.e_max)))
     t_max = max(t_loc for _, t_loc, _ in specs)
+    local = [(t_loc * (1.0 - beta) - alpha) / t_max for (_, t_loc, _), beta in zip(specs, pinned)]
+    return max(*local, *_p_max_rows(alpha, g, specs, config, pinned))
+
+
+def _p_max_rows(alpha: float, g, specs, config: ScenarioConfig, betas) -> list:
+    """The prefix rate rows at the given ratios, every power at p_max and the
+    window alpha, in _max_residual's expression order."""
+    band, p_max = config.bandwidth, config.p_max
     bits = snr = prefix = 0.0
-    worst = -math.inf
-    for j, ((size, t_loc, e_loc), gain) in enumerate(zip(specs, g)):
-        if pinned is None:
-            beta = max(0.0, 1.0 - alpha / t_loc, 1.0 - config.e_max / e_loc)
-        else:
-            beta = pinned[j]
-            worst = max(worst, (t_loc * (1.0 - beta) - alpha) / t_max)
+    rows = []
+    for (size, _, _), gain, beta in zip(specs, g, betas):
         bits += beta * size
         snr += gain * p_max
         prefix += size
         rate = band * math.log1p(snr) / _LN2
-        worst = max(worst, (bits - alpha * rate) / prefix)
-    return worst
+        rows.append((bits - alpha * rate) / prefix)
+    return rows
 
 
 def _floor_betas(alpha: float, specs, config: ScenarioConfig) -> list:
@@ -646,17 +656,8 @@ def _floor_betas(alpha: float, specs, config: ScenarioConfig) -> list:
 
 
 def _floor_rows(alpha: float, g, specs, config: ScenarioConfig) -> list:
-    """The prefix rate rows of A(alpha), every power at p_max, in _max_residual's order."""
-    band, p_max = config.bandwidth, config.p_max
-    bits = snr = prefix = 0.0
-    rows = []
-    for (size, _, _), gain, beta in zip(specs, g, _floor_betas(alpha, specs, config)):
-        bits += beta * size
-        snr += gain * p_max
-        prefix += size
-        rate = band * math.log1p(snr) / _LN2
-        rows.append((bits - alpha * rate) / prefix)
-    return rows
+    """The prefix rate rows of A(alpha)."""
+    return _p_max_rows(alpha, g, specs, config, _floor_betas(alpha, specs, config))
 
 
 def _floor_delay(alpha_r: float, g, specs, config: ScenarioConfig) -> float:
@@ -734,7 +735,9 @@ class _Oracle:
     verdict rule of the module docstring; report() also builds the
     witness, while holds() returns only the verdict, which is all a
     bisection halving needs, so bss_solve builds one _Oracle per solve
-    and no allocation per halving.
+    and no allocation per halving. Every witness with each power at its
+    energy cap (pinned ratios, and the floors of a pass with no rising
+    piece) comes from the one loop _capped_run.
     """
 
     def __init__(self, gains, config: ScenarioConfig, fixed_betas=None):
@@ -744,6 +747,10 @@ class _Oracle:
         self.config = config
         self.specs = _specs(config)
         self.coef = _server_coef(config)
+        # the server time of the pinned bits: every pinned window is alpha less it
+        self.server_time = 0.0
+        if self.pinned is not None and self.coef:
+            self.server_time = self.coef * _offloaded_bits(self.specs, self.pinned)
         self.t_max = max(t_loc for _, t_loc, _ in self.specs)
 
     def report(self, alpha: float) -> FeasibilityReport:
@@ -764,57 +771,27 @@ class _Oracle:
         """(betas, powers, residual) of the branch's witness at delay alpha > 0."""
         g, config = self.g, self.config
         if self.pinned is not None:
-            return self._pinned_run(alpha)
+            return self._capped_run(alpha, alpha - self.server_time, self.pinned)
         if len(g) == 1 and config.server is None:
             return _exact_single_user(alpha, g[0], self.specs, config)
         return self._free_run(alpha)
 
-    def _pinned_run(self, alpha: float) -> tuple:
-        """Pinned ratios, with or without a server: (betas, powers, residual).
-
-        Every power sits at its energy cap (see the module docstring); with
-        the ratios fixed the server time, and so the rate window, is a
-        constant. Each capped power and its rows come from one loop, in
-        _max_residual's expression order.
-        """
-        config, betas = self.config, self.pinned
-        e_max, p_max, band, t_max = config.e_max, config.p_max, config.bandwidth, self.t_max
-        window = _rate_window(alpha, config, self.specs, betas)
-        powers = []
-        bits = snr = prefix = 0.0
-        worst = -math.inf
-        for (size, t_loc, e_loc), gain, beta in zip(self.specs, self.g, betas):
-            local = e_loc * (1.0 - beta)
-            p = min(max((e_max - local) / alpha, 0.0), p_max)
-            powers.append(p)
-            bits += beta * size
-            snr += gain * p
-            prefix += size
-            rate = band * math.log1p(snr) / _LN2
-            worst = max(
-                worst,
-                (bits - window * rate) / prefix,
-                (t_loc * (1.0 - beta) - alpha) / t_max,
-                (local + alpha * p - e_max) / e_max,
-            )
-        return betas, powers, worst
-
     def _free_run(self, alpha: float) -> tuple:
         """Free ratios: frontier passes at the windows alpha - c_s W.
 
-        Without a server the one pass is first tried as _floor_run, which
-        builds and scores the floor witness in one loop while no user's
-        SNR piece rises; at the first user whose piece rises it hands over
-        to _frontier_pass and _max_residual. Otherwise W <- U_min from
+        Without a server the one pass's witness, when _flat_floors finds no
+        rising SNR piece, is the floors with capped powers, which
+        _capped_run builds and scores; otherwise it comes from
+        _frontier_pass and _max_residual. With a server W <- U_min from
         W = 0 until the witness's residual at its own window is
         <= EPS_FEAS, a pass fails, W stops rising or the next window is
         not positive. Returns (betas, powers, residual).
         """
         g, specs, config, coef = self.g, self.specs, self.config, self.coef
         if not coef:
-            run = self._floor_run(alpha)
-            if run is not None:
-                return run
+            floors = self._flat_floors(alpha)
+            if floors is not None:
+                return self._capped_run(alpha, alpha, floors)
         total, window = 0.0, alpha
         while True:
             feasible, betas, powers = _frontier_pass(alpha, window, g, specs, config)
@@ -825,38 +802,47 @@ class _Oracle:
                 return betas, powers, residual
             total, window = bits, own
 
-    def _floor_run(self, alpha: float) -> Optional[tuple]:
-        """The one frontier pass at window alpha while no user's piece rises.
+    def _flat_floors(self, alpha: float) -> Optional[list]:
+        """The frontier floors at delay alpha, None if some user's SNR piece rises.
 
-        With no rising piece the frontier stays empty, so the pass's witness
-        has every ratio at its floor and every power at its energy cap there,
-        whether or not some K_m < 0 ends the pass. Each user's floor, power
-        and rows come from one loop, in the pass's and _max_residual's
-        expression order, so (betas, powers, residual) are theirs to the bit.
-        Returns None at the first user whose piece rises.
+        With no rising piece the one frontier pass at window alpha keeps an
+        empty frontier, so its witness has every ratio at its floor and every
+        power at its energy cap there, whether or not some K_m < 0 ends it.
         """
-        config = self.config
-        e_max, p_max, band, t_max = config.e_max, config.p_max, config.bandwidth, self.t_max
-        room = e_max - alpha * p_max  # the most local energy that leaves room for p_max
-        betas, powers = [], []
-        bits = snr = prefix = 0.0
-        worst = -math.inf
-        for (size, t_loc, e_loc), gain in zip(self.specs, self.g):
-            lo = max(0.0, 1.0 - alpha / t_loc, 1.0 - e_max / e_loc)
+        e_max, specs = self.config.e_max, self.specs
+        floors = _floors(alpha, specs, e_max)
+        # the most local energy that leaves room for p_max
+        room = e_max - alpha * self.config.p_max
+        for (size, _, e_loc), lo in zip(specs, floors):
             if (min(1.0, max(lo, 1.0 - room / e_loc)) - lo) * size > 0.0:  # knee above lo
                 return None
-            local = e_loc * (1.0 - lo)
+        return floors
+
+    def _capped_run(self, alpha: float, window: float, betas) -> tuple:
+        """(betas, powers, residual) with every power at its energy cap.
+
+        Each power is min(max((e_max - E_j (1 - beta_j)) / alpha, 0), p_max)
+        and the rate rows see ``window``. Each capped power and its rows come
+        from one loop, in the frontier pass's and _max_residual's expression
+        order, so the result is theirs to the bit.
+        """
+        config, t_max = self.config, self.t_max
+        e_max, p_max, band = config.e_max, config.p_max, config.bandwidth
+        powers = []
+        bits = snr = prefix = 0.0
+        worst = -math.inf
+        for (size, t_loc, e_loc), gain, beta in zip(self.specs, self.g, betas):
+            local = e_loc * (1.0 - beta)
             p = min(p_max, max(0.0, (e_max - local) / alpha))
-            betas.append(lo)
             powers.append(p)
-            bits += lo * size
+            bits += beta * size
             snr += gain * p
             prefix += size
             rate = band * math.log1p(snr) / _LN2
             worst = max(
                 worst,
-                (bits - alpha * rate) / prefix,
-                (t_loc * (1.0 - lo) - alpha) / t_max,
+                (bits - window * rate) / prefix,
+                (t_loc * (1.0 - beta) - alpha) / t_max,
                 (local + alpha * p - e_max) / e_max,
             )
         return betas, powers, worst

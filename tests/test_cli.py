@@ -269,24 +269,6 @@ class TestSolveCommand:
         assert "server" in capsys.readouterr().err
         assert not (tmp_path / "cf").exists()
 
-    def test_auto_rejects_a_closed_form_that_breaks_its_constraints(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        # a closed form 10% below its true delay: no delay below it is
-        # feasible, so only the allocation check can catch it
-        from dataclasses import replace
-        from nomamec import cli
-
-        def too_fast(gains, cfg):
-            sol = real(gains, cfg)
-            return replace(sol, delay=0.9 * sol.delay)
-
-        real = cli.solve_two_user
-        monkeypatch.setattr(cli, "solve_two_user", too_fast)
-        path = write_config(tmp_path)
-        assert main(["solve", path, "--out", str(tmp_path)]) == 0
-        assert "method: bss (closed-form fallback)" in capsys.readouterr().out
-
     def test_closed_form_requires_two_users(self, tmp_path, capsys):
         users = [
             {"task_bits": 1.6e6, "cycles_per_bit": 1e3, "cpu_freq_hz": 1e9, "kappa": 1e-28}

@@ -8,6 +8,7 @@ import pytest
 from scipy.optimize import brentq
 
 from nomamec import (
+    Allocation,
     ChannelRealization,
     EqualTimeInfeasible,
     ScenarioConfig,
@@ -18,12 +19,14 @@ from nomamec import (
     bss_solve,
     generate_channels,
     load_config,
+    max_violation,
     p1_water,
     p2_water,
     reorder_users,
     solve_two_user,
     sum_rate,
 )
+from nomamec.solver import EPS_FEAS
 from conftest import draw_envelope_scenario, feasible_two_user_scenarios, reference_two_user
 
 LN2 = math.log(2.0)
@@ -243,7 +246,9 @@ class TestPinnedAnswers:
     def test_answers_match_recorded_digest(self):
         # configs/s1.json masters 0-3 x trials 0-99 (Case1 and Case3), then
         # 300 envelope draws with p_max up to 1 W (Case1 162, Case2 3,
-        # Case3 2, Case4 6, EqualTimeInfeasible 127)
+        # Case3 2, Case4 6, EqualTimeInfeasible 127); every answer meets
+        # every constraint at its delay, so `solve --method auto` keeps it
+        # without a check of its own
         base = load_config(str(S1_JSON)).config
         draws = []
         for master in range(4):
@@ -259,6 +264,8 @@ class TestPinnedAnswers:
             try:
                 sol = solve_two_user(realization, cfg)
                 text = repr((sol.case_label, sol.delay, sol.p1, sol.p2, sol.beta1, sol.beta2))
+                alloc = Allocation((sol.beta1, sol.beta2), (sol.p1, sol.p2))
+                assert max_violation(sol.delay, alloc, realization, cfg) <= EPS_FEAS, text
                 labels[sol.case_label] = labels.get(sol.case_label, 0) + 1
             except EqualTimeInfeasible:
                 text = "EqualTimeInfeasible"

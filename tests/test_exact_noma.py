@@ -95,8 +95,9 @@ def test_rising_frontier_equals_the_two_piece_pass():
 
 def test_fused_decide_equals_the_composed_oracle():
     # _Oracle._decide builds the floor witness (free ratios, no server)
-    # and the pinned witness in one loop with their rows; the reference
-    # composes the pass or the capped-power list with _max_residual.
+    # and the pinned witness in one capped-power loop with their rows; the
+    # reference composes the pass or the capped-power list with
+    # _max_residual.
     # Envelope draws, M 1-8, p_max up to 0.05 and 1 W, e_max 2 J (every
     # budget slack, as in fig-users) or 10^U(-1.3, 0.5) J (binding draws,
     # where the loop hands over to the pass), delays on both sides of the
@@ -105,7 +106,7 @@ def test_fused_decide_equals_the_composed_oracle():
     rng = np.random.default_rng(29)
     server = ServerSpec(cycles_per_bit=1e3, cpu_freq=1e10, kappa=1e-28)
     kinds = dict.fromkeys(
-        ("floor run", "hand over", "feasible", "infeasible", "pinned", "pinned server"), 0)
+        ("flat floors", "hand over", "feasible", "infeasible", "pinned", "pinned server"), 0)
     pairs = 0
     while pairs < 2000:
         n = int(rng.integers(1, 9))
@@ -134,7 +135,7 @@ def test_fused_decide_equals_the_composed_oracle():
                 if kind != "free":
                     kinds[kind] += 1
                 elif n > 1:
-                    kinds["hand over" if oracle._floor_run(alpha) is None else "floor run"] += 1
+                    kinds["hand over" if oracle._flat_floors(alpha) is None else "flat floors"] += 1
     assert min(kinds.values()) >= 150, kinds
 
 

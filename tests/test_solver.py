@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -35,6 +36,7 @@ from conftest import (
     residuals,
     s1_config,
 )
+from test_golden import _solver_draw
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "s1.json"
 
@@ -550,6 +552,34 @@ class TestFloorCertificate:
                 # the lower certificate already reaches the probe
                 assert len(calls) == 1, (trial, calls)
         assert counts[2] >= 100 and counts[2] >= 20 * (counts.total() - counts[2]), counts
+
+
+def _certificate_digest(count: int = 120, seed: int = 23) -> str:
+    rng = np.random.default_rng(seed)
+    h = hashlib.sha256()
+    for k in range(count):
+        gains, config, pinned = _solver_draw(rng, k)
+        specs = solver._specs(config)
+        alpha_r = solver._relaxed_delay(gains, specs, config, pinned)[0]
+        alpha_u = solver._floor_delay(alpha_r, gains, specs, config)
+        delays = [alpha_r * f for f in (0.5, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 2.0)]
+        if alpha_u < math.inf:
+            delays.append(alpha_u * (1.0 + 1e-6))
+        rows = [(alpha, solver._relaxed_residual(alpha, gains, specs, config, pinned),
+                 solver._floor_rows(alpha, gains, specs, config)) for alpha in delays]
+        h.update(repr((k, alpha_r, alpha_u, rows)).encode() + b"\n")
+    return h.hexdigest()
+
+
+CERTIFICATE_DIGEST = "a9fa7b8d8482dc44d0e3397b682458b6f5eb830f24524e628ce8fdda99515ed4"
+
+
+def test_certificate_floats_unchanged():
+    # the certificates' own floats on test_golden.py's solver-digest draws
+    # (M 1-8, slack and binding budgets, a server on every third draw,
+    # pinned ratios on every tenth): the relaxed residual, A(alpha)'s rate
+    # rows and alpha_u, at delays around alpha_r and just above alpha_u
+    assert _certificate_digest() == CERTIFICATE_DIGEST
 
 
 class TestOptimumStructure:
