@@ -2,7 +2,8 @@
 
 Outputs are CSV tables plus a JSON manifest describing exactly how to
 reproduce them; given the same manifest the bytes are identical run to
-run. Floats are printed with 17 significant digits and LF line endings.
+run. Each table's row format (SWEEP_ROW, MEAN_ROW, SOLVE_ROW) prints
+floats with 17 significant digits (%.16e), ints in %d, and LF line endings.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .baselines import (
 )
 from .closed_form import EqualTimeInfeasible, solve_two_user
 from .configio import ConfigError, LoadedScenario, config_to_dict, load_config
-from .model import Allocation, ChannelRealization, ScenarioConfig, UsageError, sum_rate
+from .model import Allocation, ChannelRealization, ScenarioConfig, UsageError, _with_users, sum_rate
 from .scenario import RNG_SCHEME, Seed, generate_channels, reorder_users
 # check_feasibility is looked up on the module at call time, where
 # bench/tracing.py patches it to count oracle calls
@@ -39,7 +40,11 @@ SWEEP_COLUMNS = (
     "axis,value,scheme,seed,delay_s,sum_rate_bps,total_power_w,ee_bpj,pe,"
     "iterations,case_label"
 )
+SWEEP_ROW = "%s,%.16e,%s,%d,%.16e,%.16e,%.16e,%.16e,%.16e,%d,%s"
 MEAN_COLUMNS = "axis,value,scheme,n_seeds,delay_s,sum_rate_bps,total_power_w,ee_bpj,pe"
+MEAN_ROW = "%s,%.16e,%s,%d,%.16e,%.16e,%.16e,%.16e,%.16e"
+SOLVE_COLUMNS = "method,delay_s,iterations,case_label,user,beta,power_w"
+SOLVE_ROW = "%s,%.16e,%d,%s,%d,%.16e,%.16e"
 AXES = ("task_bits", "p_max", "e_max", "user_count", "bandwidth")
 SCHEMES = ("noma-partial", "noma-full", "ofdma-partial-1rb", "ofdma-partial-mrb", "local")
 
@@ -51,8 +56,9 @@ def _fmt(x) -> str:
     return f"{x:.16e}" if isinstance(x, float) else str(x)
 
 
-def _write_csv(path: str, header: str, rows: list[tuple]) -> None:
-    lines = [header, *(",".join(_fmt(v) for v in row) for row in rows)]
+def _write_csv(path: str, header: str, row_format: str, rows: list[tuple]) -> None:
+    """header, then row_format % row per row: a float in each %.16e cell, an int in each %d."""
+    lines = [header, *(row_format % row for row in rows)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -95,8 +101,7 @@ def _apply_axis(config: ScenarioConfig, axis: str, value: float) -> ScenarioConf
         if not float(value).is_integer() or value < 1:
             raise UsageError(f"user_count values must be whole numbers >= 1, got {value!r}")
         base = config.users
-        users = tuple(base[i % len(base)] for i in range(int(value)))
-        return replace(config, users=users)
+        return _with_users(config, tuple(base[i % len(base)] for i in range(int(value))))
     raise UsageError(f"unknown axis {axis!r}; choose from {AXES}")
 
 
@@ -205,8 +210,8 @@ def run_sweep(
         for r, group_means in zip(rows[::n_seeds], blocks.mean(axis=2).tolist())
     ]
 
-    _write_csv(csv_path, SWEEP_COLUMNS, rows)
-    _write_csv(mean_path, MEAN_COLUMNS, means)
+    _write_csv(csv_path, SWEEP_COLUMNS, SWEEP_ROW, rows)
+    _write_csv(mean_path, MEAN_COLUMNS, MEAN_ROW, means)
     _write_manifest(
         manifest_path,
         {
@@ -296,7 +301,7 @@ def _cmd_solve(args) -> int:
         (method, delay, iterations, case_label, i + 1, alloc.betas[i], alloc.powers[i])
         for i in range(m)
     ]
-    _write_csv(csv_path, "method,delay_s,iterations,case_label,user,beta,power_w", rows)
+    _write_csv(csv_path, SOLVE_COLUMNS, SOLVE_ROW, rows)
     _write_manifest(
         manifest_path,
         {

@@ -97,11 +97,26 @@ def _water_level(
     exceeded. Returns +inf when the budget can never go tight at any
     attainable power (huge e_max) and None when it is violated for every
     power level, which includes an infinite local energy rate.
+
+    Divided by e_max B the budget reads big_a + big_b p <= log2(1 +
+    gain_eff p + interference), big_b = a1 / (e_max B), big_a = big_b
+    kappa f^3 - b1 / B, whose right side is below 1025 at any float power.
+    big_b past the float range (as at e_max 1e-310 J) puts the left side
+    above 1.8e308 kappa f^3 - b1 / B > 1025 at every power, for any
+    kappa f^3 above (b1 / B + 1025) / 1.8e308: None. big_b == 0 (e_max B
+    past the float range) is a slope below 5e-324, so only powers past
+    1 / (big_b ln 2) - (1 + interference) / gain_eff, beyond every float,
+    could break the budget: +inf. solve_two_user drops both alike.
     """
     if kappa_f3 == math.inf:
         return None
-    big_a = kappa_f3 * a1 / (config.e_max * config.bandwidth) - b1 / config.bandwidth
-    big_b = a1 / (config.e_max * config.bandwidth)
+    scale = config.e_max * config.bandwidth
+    big_b = a1 / scale if scale else math.inf  # e_max B may round to 0
+    if big_b == math.inf:
+        return None
+    if big_b == 0.0:
+        return math.inf
+    big_a = kappa_f3 * a1 / scale - b1 / config.bandwidth
     c = big_b * _LN2 / gain_eff
     k = big_a * _LN2 - c * (1.0 + interference)
     log_arg = math.log(c) + k

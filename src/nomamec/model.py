@@ -179,6 +179,19 @@ class ScenarioConfig:
         return len(self.users)
 
 
+def _with_users(config: ScenarioConfig, users: tuple) -> ScenarioConfig:
+    """replace(config, users=users) without rerunning __post_init__.
+
+    Sound for a nonempty tuple drawn from config.users (a permutation or a
+    repetition): each check reads fields that do not change or, like the
+    path-loss overflow check, applies to each user on its own, and these
+    users passed it in config. Callers check user_count >= 1 first.
+    """
+    new = object.__new__(ScenarioConfig)
+    new.__dict__.update(config.__dict__, users=users)
+    return new
+
+
 @dataclass(frozen=True)
 class ChannelRealization:
     """Normalized channel gains, ascending (decode order).

@@ -13,7 +13,7 @@ hosts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -23,6 +23,7 @@ from .model import (
     ScenarioConfig,
     UsageError,
     _path_loss_fields,
+    _with_users,
     dbm_per_hz_to_watts,
 )
 
@@ -141,9 +142,10 @@ def reorder_users(config: ScenarioConfig, realization: ChannelRealization) -> Sc
     """Config whose user list is aligned with the sorted gains.
 
     Each user keeps its own task parameters; only the decode position
-    changes. An identity order returns config itself, unrebuilt.
+    changes. An identity order returns config itself; any other a copy
+    holding the same, already checked users (model._with_users).
     """
     order = realization.sic_order
     if order == tuple(range(len(config.users))):
         return config
-    return replace(config, users=tuple(config.users[i] for i in order))
+    return _with_users(config, tuple(config.users[i] for i in order))

@@ -809,13 +809,15 @@ class _Oracle:
         empty frontier, so its witness has every ratio at its floor and every
         power at its energy cap there, whether or not some K_m < 0 ends it.
         """
-        e_max, specs = self.config.e_max, self.specs
-        floors = _floors(alpha, specs, e_max)
+        e_max = self.config.e_max
         # the most local energy that leaves room for p_max
         room = e_max - alpha * self.config.p_max
-        for (size, _, e_loc), lo in zip(specs, floors):
+        floors = []
+        for size, t_loc, e_loc in self.specs:
+            lo = max(0.0, 1.0 - alpha / t_loc, 1.0 - e_max / e_loc)  # _floors' expression
             if (min(1.0, max(lo, 1.0 - room / e_loc)) - lo) * size > 0.0:  # knee above lo
                 return None
+            floors.append(lo)
         return floors
 
     def _capped_run(self, alpha: float, window: float, betas) -> tuple:

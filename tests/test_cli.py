@@ -336,6 +336,18 @@ class TestSolveCommand:
         assert "structure infeasible" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("overrides", [
+        {"e_max_j": 1e-310},  # a1 / (e_max B) overflows in the water level
+        {"bandwidth_hz": 9.74e53, "e_max_j": 9.63e301},  # e_max B overflows
+    ])
+    @pytest.mark.parametrize("method", ["auto", "closed-form", "bss"])
+    def test_water_level_limits_end_without_a_traceback(self, tmp_path, overrides, method):
+        # auto and closed-form ended in a ValueError traceback from the closed form
+        path = write_config(tmp_path, **overrides)
+        rc = main(["solve", path, "--method", method, "--out", str(tmp_path / "out")])
+        assert rc in (0, 2, 3)
+
+
 class TestSweepCommand:
     def test_single_point_single_seed(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -522,6 +534,7 @@ class TestSweepBadInput:
 class TestAxisApplication:
     def test_all_axes_modify_the_right_field(self, tmp_path):
         from nomamec.cli import _apply_axis
+        from nomamec.model import UsageError
 
         cfg = load_config(write_config(tmp_path)).config
         assert _apply_axis(cfg, "p_max", 0.5).p_max == 0.5
@@ -532,6 +545,27 @@ class TestAxisApplication:
         grown = _apply_axis(cfg, "user_count", 5)
         assert grown.num_users == 5
         assert grown.users[4].kappa == cfg.users[0].kappa  # template cycles
+        for bad in (0, 2.5, math.nan):  # checked before the users are copied
+            with pytest.raises(UsageError, match="user_count"):
+                _apply_axis(cfg, "user_count", bad)
+
+
+class TestRowFormats:
+    """Each table's row format prints what _fmt printed cell by cell."""
+
+    FLOATS = (0.0, -0.0, 5e-324, 1.7976931348623157e308, math.inf, -math.inf, math.nan)
+    INTS = (0, 10**20)
+    TEXTS = ("", "noma-partial")
+
+    @pytest.mark.parametrize("name", ["SWEEP_ROW", "MEAN_ROW", "SOLVE_ROW"])
+    def test_matches_fmt_on_edge_values(self, name):
+        from nomamec import cli
+
+        kinds = getattr(cli, name).split(",")
+        pools = {"%s": self.TEXTS, "%d": self.INTS, "%.16e": self.FLOATS}
+        for k in range(len(self.FLOATS)):
+            row = tuple(pools[kind][(k + i) % len(pools[kind])] for i, kind in enumerate(kinds))
+            assert getattr(cli, name) % row == ",".join(cli._fmt(v) for v in row)
 
 
 class TestVerifyCommand:

@@ -102,6 +102,17 @@ class TestWaterLevels:
         tight = replace(cfg, e_max=1e-3, users=(replace(u1, kappa=1e-27), u2))
         assert p1_water(cfg.p_max, realization, tight) is None
 
+    def test_limits_past_the_float_range(self, s1):
+        # a1 / (e_max B) overflows: the budget fails at every power
+        realization, cfg = s1
+        starved = replace(cfg, e_max=1e-310)
+        assert p1_water(cfg.p_max, realization, starved) is None
+        assert p2_water(cfg.p_max, realization, starved) is None
+        # e_max B overflows: the budget never binds
+        vast = replace(cfg, bandwidth=9.74e53, e_max=9.63e301)
+        assert p1_water(cfg.p_max, realization, vast) == math.inf
+        assert p2_water(cfg.p_max, realization, vast) == math.inf
+
 
 @pytest.fixture(scope="module")
 def energy_capped_draws():

@@ -97,6 +97,51 @@ def test_output_bytes_unchanged(tmp_path, capsys, name):
     assert got == GOLDEN[name]
 
 
+# cells the entries above never print, recorded before the CSV tables
+# took one row format each: infeasible rows (inf and nan; e_max 0.2 J is
+# below user 1's fully-local energy, 1.6 J), the local scheme's zero
+# cells, seed means over three draws, and the closed form's solve.csv.
+# Each entry is (e_max, argv after the config path, digest).
+EDGES = {
+    "sweep infeasible e_max 0.2": (
+        0.2,
+        ("sweep", "--axis", "user_count", "--values", "2,3", "--schemes",
+         "local,noma-partial", "--seeds", "2", "--eps", "1e-3"),
+        "de4bf721709ea170af4743481017e2d9677688c48b403ddf6697aaff8cf6914a",
+    ),
+    "sweep 3 seeds": (
+        2.0,
+        ("sweep", "--axis", "p_max", "--values", "0.005,0.01", "--schemes",
+         "local,noma-full,ofdma-partial-mrb", "--seeds", "3", "--eps", "1e-3"),
+        "e20c0ffdec69c92efd04bb87ec033be0712b1ebd891ffc654fa8abc80cdd6b4b",
+    ),
+    # trials 1, 5 and 6 exit 3 (equal-time structure infeasible)
+    "solve closed-form 0-9": (2.0, ("solve", "--method", "closed-form"),
+                              "dff946153bbd696e0541c60be3fa6bf8bea3b6dac5cf9f6585a2dfd65e9d4738"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGES))
+def test_edge_output_bytes_unchanged(tmp_path, capsys, name):
+    e_max, argv, want = EDGES[name]
+    cfg = json.loads(CONFIG.read_text())
+    cfg["e_max_j"] = e_max
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(cfg))
+    h = hashlib.sha256()
+    trials = range(10) if argv[0] == "solve" else [None]
+    for trial in trials:
+        out = tmp_path / f"out{trial}"
+        extra = () if trial is None else ("--trial", str(trial))
+        rc = main([argv[0], str(path), *argv[1:], *extra, "--out", str(out)])
+        h.update(f"{trial} exit {rc}\n".encode())
+        if rc == 0:
+            names = ("solve.csv",) if argv[0] == "solve" else SWEEP_FILES
+            h.update(_digest([out], names).encode())
+    capsys.readouterr()
+    assert h.hexdigest() == want
+
+
 def _solver_draw(rng: np.random.Generator, k: int):
     """(gains, config, fixed_betas) of solver-digest draw k.
 

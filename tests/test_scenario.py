@@ -14,7 +14,9 @@ from nomamec import (
     reorder_users,
     rng_for,
 )
+from nomamec.model import _with_users
 from nomamec.scenario import gains_from_draws
+from conftest import s1_config
 
 
 def many_user_config(n, distance=0.0):
@@ -127,6 +129,22 @@ class TestSortingAndPairing:
         permuted = reorder_users(cfg, ChannelRealization(gains, (2, 0, 1)))
         assert permuted is not cfg
         assert permuted.users == tuple(cfg.users[i] for i in (2, 0, 1))
+
+
+class TestConfigWithUsers:
+    """model._with_users skips the checks, not the result: it equals replace."""
+
+    @pytest.mark.parametrize("order", [(1, 0), (0, 1), (1, 1, 0), (0, 1, 0, 1, 0), (1,)])
+    def test_equals_replace(self, order):
+        cfg = s1_config()
+        users = tuple(cfg.users[i] for i in order)
+        copied, rebuilt = _with_users(cfg, users), replace(cfg, users=users)
+        assert copied == rebuilt and hash(copied) == hash(rebuilt)
+        assert copied.users == users and copied.num_users == len(order)
+        for a, b in zip(copied.users, rebuilt.users):
+            assert (a.local_full_time, a.local_full_energy) == (
+                b.local_full_time, b.local_full_energy)
+        assert cfg.users == s1_config().users  # the source is untouched
 
 
 class TestStatistics:
