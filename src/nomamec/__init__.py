@@ -46,7 +46,6 @@ from .scenario import (
     dbm_per_hz_to_watts,
     generate_channels,
     reorder_users,
-    rng_for,
 )
 from .solver import (
     FeasibilityReport,
@@ -92,7 +91,6 @@ __all__ = [
     "p1_water",
     "p2_water",
     "reorder_users",
-    "rng_for",
     "server_time",
     "sinr",
     "solve_noma_full_offload",

@@ -19,6 +19,7 @@ from .model import (
     ChannelRealization,
     ScenarioConfig,
     UsageError,
+    _with_users,
     sum_rate,
 )
 from .solver import InfeasibleScenarioError, _gain_tuple, bss_solve
@@ -172,8 +173,9 @@ def solve_ofdma_partial(
     delay = 0.0
     iters = 0
     rate_total = 0.0
+    band = replace(config, bandwidth=share)  # checks the slice's noise power once
     for i in range(m):
-        sub = replace(config, bandwidth=share, users=(config.users[i],))
+        sub = _with_users(band, (config.users[i],))
         sub_gain = ChannelRealization(gains=(g[i] * scale,))
         res = bss_solve(sub_gain, sub, eps=eps)
         betas.append(res.allocation.betas[0])

@@ -17,8 +17,6 @@ import sys
 from dataclasses import replace
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import __version__
 from .baselines import (
     check_circuit_power,
@@ -129,6 +127,39 @@ def _check_tolerances(eps: float) -> None:
         raise UsageError(f"eps must be finite and > 0, got {eps}")
 
 
+def _pairwise_sum(a: list[float]) -> float:
+    """Sum of a in numpy's pairwise order of additions.
+
+    Below 8 values a plain loop from 0.0; up to 128, eight running sums
+    over strides of 8, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+    then the remainder one by one; above 128, two halves split at a
+    multiple of 8.
+    """
+    n = len(a)
+    if n < 8:
+        total = 0.0
+        for x in a:
+            total += x
+        return total
+    if n <= 128:
+        r = a[:8]
+        end = n - n % 8
+        for i in range(8, end, 8):
+            for j in range(8):
+                r[j] += a[i + j]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in a[end:]:
+            total += x
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
+
+
+def _seed_mean(column: list[float]) -> float:
+    """np.mean of the column bit for bit: its pairwise sum added to 0.0, over n."""
+    return (0.0 + _pairwise_sum(column)) / len(column)
+
+
 def run_sweep(
     loaded: LoadedScenario,
     axis: str,
@@ -198,17 +229,12 @@ def run_sweep(
                     )
     rows.sort(key=lambda r: (r[1], r[2], r[3]))
 
-    # after the sort each (value, scheme) group is n_seeds adjacent rows.
-    # Each group's (5, n_seeds) block of metric columns is made contiguous,
-    # so mean(axis=2) sums each column as one contiguous run, the same
-    # pairwise sum np.mean takes over that column alone: every seed mean
-    # equals np.mean of its column bit for bit
-    metrics = np.array([r[4:9] for r in rows], dtype=float)
-    blocks = np.ascontiguousarray(metrics.reshape(-1, n_seeds, 5).transpose(0, 2, 1))
-    means = [
-        (axis, r[1], r[2], n_seeds, *group_means)
-        for r, group_means in zip(rows[::n_seeds], blocks.mean(axis=2).tolist())
-    ]
+    # after the sort each (value, scheme) group is n_seeds adjacent rows
+    means = []
+    for k in range(0, len(rows), n_seeds):
+        group = rows[k:k + n_seeds]
+        means.append((axis, group[0][1], group[0][2], n_seeds,
+                      *(_seed_mean([r[c] for r in group]) for c in range(4, 9))))
 
     _write_csv(csv_path, SWEEP_COLUMNS, SWEEP_ROW, rows)
     _write_csv(mean_path, MEAN_COLUMNS, MEAN_ROW, means)

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-import numpy as np
-
 __all__ = [
     "UserSpec",
     "ServerSpec",
@@ -182,10 +180,13 @@ class ScenarioConfig:
 def _with_users(config: ScenarioConfig, users: tuple) -> ScenarioConfig:
     """replace(config, users=users) without rerunning __post_init__.
 
-    Sound for a nonempty tuple drawn from config.users (a permutation or a
-    repetition): each check reads fields that do not change or, like the
-    path-loss overflow check, applies to each user on its own, and these
-    users passed it in config. Callers check user_count >= 1 first.
+    Sound for any nonempty selection of config.users: a subset, a
+    permutation or a repetition. Each check of __post_init__ reads fields
+    the copy shares with config (bandwidth, noise, budgets, path_loss_exp,
+    cell_radius), or the users' nonemptiness, which callers ensure (the
+    user_count axis rejects counts below 1, and solve_ofdma_partial
+    passes one user), or each user alone: the path-loss overflow check,
+    which every selected user passed in config.
     """
     new = object.__new__(ScenarioConfig)
     new.__dict__.update(config.__dict__, users=users)
@@ -260,10 +261,12 @@ def _check_index(m: int, n: int) -> None:
         raise UsageError(f"user index {m} out of range 1..{n}")
 
 
-def _as_gain_array(gains) -> np.ndarray:
-    if isinstance(gains, ChannelRealization):
-        return np.asarray(gains.gains, dtype=float)
-    return np.asarray(gains, dtype=float)
+def _snr_sum(g: Sequence[float], p: Sequence[float], m: int) -> float:
+    """sum_{i<m} g[i] p[i], added left to right from 0.0."""
+    total = 0.0
+    for i in range(m):
+        total += g[i] * p[i]
+    return total
 
 
 def sinr(m: int, gains, powers: Sequence[float]) -> float:
@@ -272,13 +275,11 @@ def sinr(m: int, gains, powers: Sequence[float]) -> float:
     User m is decoded after users m+1..M have been removed, so only the
     weaker users j < m interfere.
     """
-    g = _as_gain_array(gains)
-    p = np.asarray(powers, dtype=float)
+    g = gains.gains if isinstance(gains, ChannelRealization) else gains
     _check_index(m, len(g))
-    if len(p) != len(g):
+    if len(powers) != len(g):
         raise UsageError("powers length must match gains length")
-    interference = float(np.dot(g[: m - 1], p[: m - 1]))
-    return float(g[m - 1] * p[m - 1] / (interference + 1.0))
+    return g[m - 1] * powers[m - 1] / (_snr_sum(g, powers, m - 1) + 1.0)
 
 
 def user_rate(m: int, gains, powers: Sequence[float], bandwidth: float) -> float:
@@ -291,10 +292,9 @@ def sum_rate(gains, powers: Sequence[float], bandwidth: float, m: int) -> float:
 
     Telescoping makes this equal to sum(user_rate(i) for i <= m).
     """
-    g = _as_gain_array(gains)
-    p = np.asarray(powers, dtype=float)
+    g = gains.gains if isinstance(gains, ChannelRealization) else gains
     _check_index(m, len(g))
-    return bandwidth * math.log2(1.0 + float(np.dot(g[:m], p[:m])))
+    return bandwidth * math.log2(1.0 + _snr_sum(g, powers, m))
 
 
 def aggregated_offload_time(
@@ -311,9 +311,10 @@ def aggregated_offload_time(
     bits are offloaded and +inf when bits are offloaded at zero rate;
     +inf is a legal value meaning "unoffloadable", not an error.
     """
-    b = np.asarray(betas, dtype=float)
-    _check_index(m, len(b))
-    bits = float(sum(b[i] * users[i].task_bits for i in range(m)))
+    _check_index(m, len(betas))
+    bits = 0.0
+    for i in range(m):
+        bits += betas[i] * users[i].task_bits
     if bits <= 0.0:
         return 0.0
     rate = sum_rate(gains, powers, bandwidth, m)

@@ -1,13 +1,13 @@
 """Reproducible random scenarios: placement, Rayleigh fading, path loss.
 
-Randomness comes from numpy's counter-based Philox generator keyed by a
-SeedSequence over (master seed, trial index[, point index]), so on one
-host every realization is a pure function of those integers and
-independent trials can be generated in parallel in any order. The draws
-themselves are the same on every machine; the path loss d^alpha is
-numpy's array power, whose last bit can depend on the SIMD code numpy
-picks for the host CPU, so a gain can differ in its last bit between
-hosts.
+Randomness is numpy's counter-based Philox stream keyed by a
+SeedSequence over (master seed, trial index[, point index], user index),
+computed in pure Python by nomamec._philox with the same bits numpy
+gives. Every realization is a pure function of those integers, and
+independent trials can be generated in parallel in any order. The
+draws, the path loss math.pow(d, alpha) and the float arithmetic after
+them depend on Python and the platform's libm alone, not on numpy or
+the host's SIMD code.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
+from ._philox import Stream
 from .model import (
     ChannelRealization,
     ScenarioConfig,
@@ -30,16 +29,14 @@ from .model import (
 __all__ = [
     "Seed",
     "RNG_SCHEME",
-    "rng_for",
     "dbm_per_hz_to_watts",
     "gains_from_draws",
     "generate_channels",
     "reorder_users",
 ]
 
-# recorded in run manifests: the draws it names are the same on every
-# machine; the gains built from them can differ in the last bit between
-# hosts (see gains_from_draws)
+# recorded in run manifests; it names numpy's stream, which _philox computes.
+# The draws and the gains depend on Python and the platform's libm alone
 RNG_SCHEME = "philox4x64 / seedseq(master_seed, trial[, point][, user])"
 
 
@@ -51,32 +48,22 @@ class Seed:
     trial: int = 0
 
 
-def rng_for(seed: Seed, point: Optional[int] = None, user: Optional[int] = None) -> np.random.Generator:
-    key: tuple[int, ...] = (seed.trial,)
-    if point is not None:
-        key = key + (point,)
-    if user is not None:
-        key = key + (user,)
-    ss = np.random.SeedSequence(entropy=seed.master, spawn_key=key)
-    return np.random.Generator(np.random.Philox(ss))
-
-
 def gains_from_draws(distances, fading_power, config: ScenarioConfig) -> list[float]:
     """Noise-normalized gains |g|^2 (1 + d^alpha)^-1 / sigma^2, unsorted.
 
     distances and fading_power are equal-length sequences of floats.
-    d^alpha is numpy's array power, and everything else is float
-    arithmetic. The array power is kept on purpose: on a host where numpy
-    vectorizes pow (AVX-512, for one), it differs from math.pow in the
-    last bit on a few percent of distances, and a scalar power would move
-    output bytes. A noise power so small that a gain overflows is a
-    UsageError naming noise_density_dbm and bandwidth, and a gain that
-    comes out 0 one naming the user's distance_m (or cell_radius_m) and
-    path_loss_exp; whether either happens depends on the draw.
-    ScenarioConfig already rejects a path loss that overflows.
+    d^alpha is math.pow, and everything else is float arithmetic. The
+    power cannot overflow: a distance is a configured one or at most
+    cell_radius, and ScenarioConfig rejects either power past the float
+    range, computed with math.pow. A noise power so small that a gain
+    overflows is a UsageError naming noise_density_dbm and bandwidth, and
+    a gain that comes out 0 one naming the user's distance_m (or
+    cell_radius_m) and path_loss_exp; whether either happens depends on
+    the draw.
     """
     sigma2 = dbm_per_hz_to_watts(config.noise_density_dbm, config.bandwidth)
-    path = (np.array(distances, dtype=float) ** config.path_loss_exp).tolist()
+    alpha = config.path_loss_exp
+    path = [math.pow(d, alpha) for d in distances]
     # sigma2 > 0, so an overflowing quotient is inf, never an exception
     gains = [f / ((1.0 + d) * sigma2) for d, f in zip(path, fading_power)]
     if not all(0.0 < g < math.inf for g in gains):
@@ -115,9 +102,8 @@ def generate_channels(
     drawn again, so a user-count sweep draws each stream once.
 
     Distances, fading and the stable sort are float operations, each the
-    IEEE operation numpy's array expression would perform per element, so
-    the gains equal the array formula's bit for bit; at a few users
-    numpy's per-call cost outweighs its vector speed.
+    IEEE operation an array expression would perform per element, so the
+    gains equal the array formula (math.pow for d^alpha) bit for bit.
     """
     draws = {} if streams is None else streams
     radius = config.cell_radius
@@ -127,8 +113,10 @@ def generate_channels(
         key = (seed, point, i)
         draw = draws.get(key)
         if draw is None:
-            rng = rng_for(seed, point, user=i)
-            draw = draws[key] = (rng.random(), rng.standard_normal(), rng.standard_normal())
+            stream = Stream(seed.master, (seed.trial, i) if point is None
+                            else (seed.trial, point, i))
+            draw = draws[key] = (stream.random(), stream.standard_normal(),
+                                 stream.standard_normal())
         u, re, im = draw
         # a drawn distance is uniform in (0, R]
         distances.append(usr.distance if usr.distance > 0.0 else radius * (1.0 - u))

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from nomamec.cli import SWEEP_COLUMNS, main, run_sweep
+from nomamec.cli import SWEEP_COLUMNS, _seed_mean, main, run_sweep
 from nomamec.configio import ConfigError, load_config
 from conftest import S1_MASTER_SEED
 
@@ -179,8 +180,8 @@ class TestBadNumbers:
     ])
     def test_path_loss_out_of_range_exit_2(self, tmp_path, capsys, monkeypatch, command,
                                            where, overrides, user):
-        # d^alpha overflowed in numpy's power with a RuntimeWarning, and the
-        # gain of 0 ended in an error naming no field
+        # a path loss d^alpha past the float range, or a gain that comes
+        # out 0, exits 2 naming the fields that set it, with no warning
         monkeypatch.setenv("NOMAMEC_OUT", str(tmp_path))
         spec = {"task_bits": 1.6e6, "cycles_per_bit": 1e3, "cpu_freq_hz": 1e9, "kappa": 1e-27}
         path = write_config(tmp_path, users=[spec, dict(spec, **user)], **overrides)
@@ -438,6 +439,25 @@ class TestSweepCommand:
         ]
         assert open(mean_path).read().splitlines()[1:] == want
         assert "inf" in want[0] and "nan" in want[0]
+
+    def test_seed_mean_equals_np_mean(self):
+        # plain loop below 8 values, eight running sums up to 128, halves
+        # above; inf and nan cells, and columns of negative zeros
+        rnd = random.Random(11)
+        for n in [*range(1, 21), *range(120, 301)]:
+            for k in range(4):
+                col = [rnd.uniform(0.0, 2.0) * 10.0 ** rnd.randint(-3, 9) for _ in range(n)]
+                if k == 1:
+                    col[rnd.randrange(n)] = math.inf
+                    col[rnd.randrange(n)] = math.nan
+                elif k == 2:
+                    col[rnd.randrange(n)] = -math.inf
+                    col[rnd.randrange(n)] = math.inf
+                elif k == 3:
+                    col = [-0.0] * n  # np.mean gives 0.0, not -0.0
+                with np.errstate(invalid="ignore"):  # inf - inf
+                    want = float(np.mean(col))
+                assert repr(_seed_mean(col)) == repr(want), (n, k)
 
 
 class TestSweepBadInput:
@@ -727,6 +747,27 @@ def test_cli_does_not_import_scipy(tmp_path):
     )
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=_src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_cli_does_not_import_numpy(tmp_path):
+    # the draws, the rates and the seed means are plain Python; nine seeds
+    # take the seed mean's eight-sum path
+    path = write_config(tmp_path)
+    code = (
+        "import sys, nomamec.cli\n"
+        f"for argv in (['solve', {path!r}, '--method', 'bss'],\n"
+        f"             ['sweep', {path!r}, '--axis', 'user_count', '--values', '1,3',\n"
+        "              '--schemes', 'noma-partial,noma-full,ofdma-partial-mrb,local',\n"
+        "              '--seeds', '9'],\n"
+        f"             ['verify', {path!r}]):\n"
+        "    assert nomamec.cli.main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    env = dict(_src_env(), NOMAMEC_OUT=str(tmp_path))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
 

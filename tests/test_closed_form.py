@@ -249,8 +249,10 @@ class TestSolveTwoUser:
 # beta2)) or "EqualTimeInfeasible", recorded from the reduced-form
 # feasibility filter that max_violation replaced; re-recorded once for
 # the math-only W-1, which moved only the powers of draws 517 and 580,
-# by at most 4.4e-16 relative
-PINNED_ANSWERS = "5912aca45077886fc430a507d07d15e14e61b193641ec521a7a06816899a6abb"
+# by at most 4.4e-16 relative, and once for the gains' math.pow and
+# scalar rate sums, which moved the gains of 61 draws and one answer:
+# p2 of draw 517, 0.1706001951414242 -> 0.17060019514142422 (1.6e-16)
+PINNED_ANSWERS = "ef561fd99ccf9b90cbf9cc87e4b624451a4b409a161fd42f1ae1b98460d47f32"
 
 
 class TestPinnedAnswers:

@@ -80,6 +80,20 @@ class TestRates:
             split = sum(user_rate(i, real, p, 1e6) for i in range(1, m + 1))
             assert abs(total - split) <= 1e-9 * max(total, 1.0)
 
+    def test_sums_add_left_to_right(self):
+        # the order of additions reaches output bytes: each sum adds
+        # g_i p_i for i = 1, 2, ... in turn, from 0.0
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            real, p = random_gain_power_instance(rng)
+            p = p.tolist()
+            g = real.gains
+            acc = 0.0
+            for m in range(1, len(g) + 1):
+                assert sinr(m, real, p) == g[m - 1] * p[m - 1] / (acc + 1.0)
+                acc += g[m - 1] * p[m - 1]
+                assert sum_rate(real, p, 1e6, m) == 1e6 * math.log2(1.0 + acc)
+
     @given(
         st.lists(st.floats(1e2, 1e7), min_size=2, max_size=8),
         st.floats(1e-4, 1.0),
