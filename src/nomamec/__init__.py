@@ -10,7 +10,6 @@ Monte-Carlo channel harness with a batch CLI.
 from .baselines import (
     SchemeResult,
     full_local_delay,
-    metrics,
     solve_noma_full_offload,
     solve_noma_partial,
     solve_ofdma_partial,
@@ -86,7 +85,6 @@ __all__ = [
     "local_energy",
     "local_time",
     "max_violation",
-    "metrics",
     "offload_energy",
     "p1_water",
     "p2_water",

@@ -29,103 +29,35 @@ from .solver import check_feasibility  # noqa: F401
 
 __all__ = [
     "SchemeResult",
-    "check_circuit_power",
-    "metrics",
     "solve_noma_partial",
     "solve_noma_full_offload",
     "solve_ofdma_partial",
     "full_local_delay",
 ]
 
-DEFAULT_CIRCUIT_POWER = 0.1  # W, constant circuit draw used by energy efficiency
-
 
 @dataclass(frozen=True)
 class SchemeResult:
+    """What a scheme solved: its delay, the sum rate of its allocation and the bisection steps.
+
+    The sweep derives radiated power and efficiencies from these (cli.run_sweep).
+    """
+
     scheme: str
     delay: float
     sum_rate: float  # bits/s
-    total_power: float  # W radiated
-    energy_efficiency: float  # bits/J, includes circuit power
-    power_efficiency: float  # bits/J over radiated power only; nan at zero power
     allocation: Allocation
     iterations: int = 0
-    case_label: str = ""
 
 
-def check_circuit_power(p_circuit: float) -> None:
-    """Reject a circuit power that is negative or not finite."""
-    if not (math.isfinite(p_circuit) and p_circuit >= 0):
-        raise UsageError(f"p_circuit must be finite and >= 0, got {p_circuit!r}")
-
-
-def _efficiencies(rate: float, total_p: float, p_circuit: float) -> tuple[float, float]:
-    """(energy efficiency, power efficiency) of a sum rate at a radiated power."""
-    check_circuit_power(p_circuit)
-    ee = rate / (total_p + p_circuit) if total_p + p_circuit > 0 else 0.0
-    pe = rate / total_p if total_p > 0 else math.nan
-    return ee, pe
-
-
-def metrics(
-    alloc: Allocation,
-    gains,
-    config: ScenarioConfig,
-    p_circuit: float = DEFAULT_CIRCUIT_POWER,
-) -> tuple[float, float, float]:
-    """(sum rate, energy efficiency, power efficiency) of an allocation.
-
-    Power efficiency is rate per radiated watt and is nan when nothing
-    is transmitted.
-    """
-    rate = sum_rate(gains, alloc.powers, config.bandwidth, config.num_users)
-    return (rate, *_efficiencies(rate, float(sum(alloc.powers)), p_circuit))
-
-
-def _as_result(
-    scheme: str,
-    delay: float,
-    alloc: Allocation,
-    gains,
-    config: ScenarioConfig,
-    p_circuit: float,
-    iterations: int,
-    case_label: str = "",
-) -> SchemeResult:
-    rate, ee, pe = metrics(alloc, gains, config, p_circuit)
-    return SchemeResult(
-        scheme=scheme,
-        delay=delay,
-        sum_rate=rate,
-        total_power=float(sum(alloc.powers)),
-        energy_efficiency=ee,
-        power_efficiency=pe,
-        allocation=alloc,
-        iterations=iterations,
-        case_label=case_label,
-    )
-
-
-def solve_noma_partial(
-    gains,
-    config: ScenarioConfig,
-    eps: float = 1e-4,
-    p_circuit: float = DEFAULT_CIRCUIT_POWER,
-) -> SchemeResult:
+def solve_noma_partial(gains, config: ScenarioConfig, eps: float = 1e-4) -> SchemeResult:
     """Joint partition and power optimization over the shared band."""
     res = bss_solve(gains, config, eps=eps)
-    return _as_result(
-        "noma-partial", res.optimal_delay, res.allocation, gains, config, p_circuit,
-        res.iterations,
-    )
+    rate = sum_rate(gains, res.allocation.powers, config.bandwidth, config.num_users)
+    return SchemeResult("noma-partial", res.optimal_delay, rate, res.allocation, res.iterations)
 
 
-def solve_noma_full_offload(
-    gains,
-    config: ScenarioConfig,
-    eps: float = 1e-4,
-    p_circuit: float = DEFAULT_CIRCUIT_POWER,
-) -> SchemeResult:
+def solve_noma_full_offload(gains, config: ScenarioConfig, eps: float = 1e-4) -> SchemeResult:
     """Every task fully offloaded; only powers are optimized.
 
     bss_solve with every ratio pinned to 1, which doubles its bracket top
@@ -134,31 +66,23 @@ def solve_noma_full_offload(
     """
     ones = (1.0,) * config.num_users
     res = bss_solve(gains, config, eps=eps, fixed_betas=ones)
-    return _as_result(
-        "noma-full", res.optimal_delay, res.allocation, gains, config, p_circuit,
-        res.iterations,
-    )
+    rate = sum_rate(gains, res.allocation.powers, config.bandwidth, config.num_users)
+    return SchemeResult("noma-full", res.optimal_delay, rate, res.allocation, res.iterations)
 
 
 def solve_ofdma_partial(
-    gains,
-    config: ScenarioConfig,
-    rb_count: int,
-    eps: float = 1e-4,
-    p_circuit: float = DEFAULT_CIRCUIT_POWER,
+    gains, config: ScenarioConfig, rb_count: int, eps: float = 1e-4
 ) -> SchemeResult:
     """Orthogonal baseline: each user solved alone on its band share.
 
     rb_count must be 1 (all users squeezed into one block) or M (one
-    block each). Metrics use the orthogonal-band rate of each user's
-    slice rather than the shared-band formula. Each user's ratio and
-    power are the exact oracle's minimum-energy allocation at its
-    reported delay plus eps, so the rate, power and efficiency figures
-    describe that point. gains must be M finite, positive values, else
-    UsageError. A server would couple the users, so a config with one
-    raises UsageError.
+    block each). The sum rate adds the orthogonal-band rate of each
+    user's slice rather than the shared-band formula. Each user's ratio
+    and power are the exact oracle's minimum-energy allocation at its
+    reported delay plus eps, so the rate describes that point. gains
+    must be M finite, positive values, else UsageError. A server would
+    couple the users, so a config with one raises UsageError.
     """
-    check_circuit_power(p_circuit)
     if config.server is not None:
         raise UsageError("the OFDMA baseline has no server model; use a config without one")
     m = config.num_users
@@ -184,25 +108,13 @@ def solve_ofdma_partial(
         iters = max(iters, res.iterations)
         rate_total += share * math.log2(1.0 + g[i] * scale * powers[-1])
 
-    alloc = Allocation(betas=tuple(betas), powers=tuple(powers))
-    total_p = float(sum(powers))
     label = "ofdma-partial-1rb" if rb_count == 1 else "ofdma-partial-mrb"
-    ee, pe = _efficiencies(rate_total, total_p, p_circuit)
-    return SchemeResult(
-        scheme=label,
-        delay=delay,
-        sum_rate=rate_total,
-        total_power=total_p,
-        energy_efficiency=ee,
-        power_efficiency=pe,
-        allocation=alloc,
-        iterations=iters,
-    )
+    alloc = Allocation(betas=tuple(betas), powers=tuple(powers))
+    return SchemeResult(label, delay, rate_total, alloc, iters)
 
 
-def full_local_delay(config: ScenarioConfig, p_circuit: float = DEFAULT_CIRCUIT_POWER) -> SchemeResult:
+def full_local_delay(config: ScenarioConfig) -> SchemeResult:
     """Everything computed on the devices; nothing transmitted."""
-    check_circuit_power(p_circuit)
     for i, u in enumerate(config.users):
         if u.local_full_energy > config.e_max:
             raise InfeasibleScenarioError(
@@ -210,14 +122,5 @@ def full_local_delay(config: ScenarioConfig, p_circuit: float = DEFAULT_CIRCUIT_
                 f"energy budget ({u.local_full_energy:.4g} J > {config.e_max:.4g} J)"
             )
     zeros = (0.0,) * config.num_users
-    alloc = Allocation(betas=zeros, powers=zeros)
     delay = max(u.local_full_time for u in config.users)
-    return SchemeResult(
-        scheme="local",
-        delay=delay,
-        sum_rate=0.0,
-        total_power=0.0,
-        energy_efficiency=0.0,
-        power_efficiency=math.nan,
-        allocation=alloc,
-    )
+    return SchemeResult("local", delay, 0.0, Allocation(betas=zeros, powers=zeros))

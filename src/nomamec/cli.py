@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .baselines import (
-    check_circuit_power,
     full_local_delay,
     solve_noma_full_offload,
     solve_noma_partial,
@@ -103,17 +102,17 @@ def _apply_axis(config: ScenarioConfig, axis: str, value: float) -> ScenarioConf
     raise UsageError(f"unknown axis {axis!r}; choose from {AXES}")
 
 
-def _run_scheme(scheme: str, gains, config: ScenarioConfig, eps, p_circuit):
+def _run_scheme(scheme: str, gains, config: ScenarioConfig, eps):
     if scheme == "noma-partial":
-        return solve_noma_partial(gains, config, eps, p_circuit)
+        return solve_noma_partial(gains, config, eps)
     if scheme == "noma-full":
-        return solve_noma_full_offload(gains, config, eps, p_circuit)
+        return solve_noma_full_offload(gains, config, eps)
     if scheme == "ofdma-partial-1rb":
-        return solve_ofdma_partial(gains, config, 1, eps, p_circuit)
+        return solve_ofdma_partial(gains, config, 1, eps)
     if scheme == "ofdma-partial-mrb":
-        return solve_ofdma_partial(gains, config, config.num_users, eps, p_circuit)
+        return solve_ofdma_partial(gains, config, config.num_users, eps)
     if scheme == "local":
-        return full_local_delay(config, p_circuit)
+        return full_local_delay(config)
     raise UsageError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
 
 
@@ -174,7 +173,12 @@ def run_sweep(
 ) -> tuple[str, str, str]:
     """One CSV row per (axis value, scheme, seed), plus a seed-mean table.
 
-    Returns the paths (rows csv, mean csv, manifest json).
+    Each row reports the scheme's delay, sum rate and bisection steps, and
+    derives from its allocation the radiated power P (the powers added left
+    to right from 0.0), the energy efficiency rate / (P + p_circuit) (0.0
+    when that is 0) and the power efficiency rate / P (nan at P = 0).
+    p_circuit must be finite and >= 0. Returns the paths (rows csv, mean
+    csv, manifest json).
     """
     if axis not in AXES:
         raise UsageError(f"unknown axis {axis!r}; choose from {AXES}")
@@ -193,7 +197,8 @@ def run_sweep(
             raise UsageError(f"unknown scheme {s!r}; choose from {SCHEMES}")
         if s.startswith("ofdma") and loaded.config.server is not None:
             raise UsageError(f"scheme {s} has no server model; use a config without one")
-    check_circuit_power(p_circuit)
+    if not 0.0 <= p_circuit < math.inf:
+        raise UsageError(f"p_circuit must be finite and >= 0, got {p_circuit!r}")
     _check_tolerances(eps)
     points = [_apply_axis(loaded.config, axis, value) for value in values]
     csv_path, mean_path, manifest_path = _make_out_dir(
@@ -212,14 +217,7 @@ def run_sweep(
             cfg_run = reorder_users(cfg_point, realization)
             for scheme in schemes:
                 try:
-                    res = _run_scheme(scheme, realization, cfg_run, eps, p_circuit)
-                    rows.append(
-                        (
-                            axis, float(value), scheme, trial, res.delay, res.sum_rate,
-                            res.total_power, res.energy_efficiency, res.power_efficiency,
-                            res.iterations, res.case_label or "-",
-                        )
-                    )
+                    res = _run_scheme(scheme, realization, cfg_run, eps)
                 except InfeasibleScenarioError:
                     rows.append(
                         (
@@ -227,6 +225,17 @@ def run_sweep(
                             math.nan, math.nan, math.nan, 0, "infeasible",
                         )
                     )
+                    continue
+                rate = res.sum_rate
+                power = 0.0
+                for p in res.allocation.powers:
+                    power += p
+                ee = rate / (power + p_circuit) if power + p_circuit > 0 else 0.0
+                pe = rate / power if power > 0 else math.nan
+                rows.append(
+                    (axis, float(value), scheme, trial, res.delay, rate, power, ee, pe,
+                     res.iterations, "-")
+                )
     rows.sort(key=lambda r: (r[1], r[2], r[3]))
 
     # after the sort each (value, scheme) group is n_seeds adjacent rows

@@ -41,6 +41,7 @@ __all__ = [
 _LN2 = math.log(2.0)
 _EXP_UNDERFLOW = -700.0  # exp() underflows to 0 below this
 _BOX_TOL = 1e-8  # power box pre-check, relative to p_max
+_FLAT_RATE = 2.0**53  # line slope over the rate's: the rate is flat in floats past it
 
 
 class EqualTimeInfeasible(RuntimeError):
@@ -107,6 +108,17 @@ def _water_level(
     past the float range) is a slope below 5e-324, so only powers past
     1 / (big_b ln 2) - (1 + interference) / gain_eff, beyond every float,
     could break the budget: +inf. solve_two_user drops both alike.
+
+    With c = big_b ln 2 / gain_eff, the rate's slope is at most
+    gain_eff / ((1 + interference) ln 2) = big_b / (c (1 + interference))
+    at every p >= 0. Once c (1 + interference) passes 2^53 (c overflows
+    at a subnormal gain_eff), the line is steeper than the rate
+    everywhere, and the rate rises by less than 2^-53 of the line's rise
+    over any range: it is flat below float precision. The level is then
+    the root r0 = (log2(1 + interference) - big_a) / big_b of the line
+    against the rate at p = 0: the true root r meets r0 <= r <= r0 /
+    (1 - 2^-53) by concavity. A negative r0 breaks the budget at p = 0
+    and so at every power: None.
     """
     if kappa_f3 == math.inf:
         return None
@@ -118,15 +130,20 @@ def _water_level(
         return math.inf
     big_a = kappa_f3 * a1 / scale - b1 / config.bandwidth
     c = big_b * _LN2 / gain_eff
-    k = big_a * _LN2 - c * (1.0 + interference)
-    log_arg = math.log(c) + k
-    if log_arg > -1.0:
-        return None  # line sits above the log curve everywhere: always violated
-    if log_arg < _EXP_UNDERFLOW:
-        return math.inf
-    w = lambert_wm1(-math.exp(log_arg))
-    u = -w / c
-    level = (u - 1.0 - interference) / gain_eff
+    if c * (1.0 + interference) > _FLAT_RATE:
+        level = (math.log2(1.0 + interference) - big_a) / big_b
+        if level < 0.0:
+            return None
+    else:
+        k = big_a * _LN2 - c * (1.0 + interference)
+        log_arg = math.log(c) + k
+        if log_arg > -1.0:
+            return None  # line sits above the log curve everywhere: always violated
+        if log_arg < _EXP_UNDERFLOW:
+            return math.inf
+        w = lambert_wm1(-math.exp(log_arg))
+        u = -w / c
+        level = (u - 1.0 - interference) / gain_eff
     if level > 1e12 * config.p_max:
         return math.inf  # beyond any attainable power: effectively never tight
     return level

@@ -358,10 +358,15 @@ def offload_energy(
 
 
 def server_time(betas: Sequence[float], users: Sequence[UserSpec], server: Optional[ServerSpec]) -> float:
-    """Edge compute time for all offloaded bits: (sum beta_m L_m) * C_S / f_S."""
+    """Edge compute time for all offloaded bits: (sum beta_m L_m) * C_S / f_S.
+
+    The bits are added left to right from 0.0.
+    """
     if server is None:
         raise UsageError("server_time requires a configured server")
-    bits = sum(b * u.task_bits for b, u in zip(betas, users))
+    bits = 0.0
+    for b, u in zip(betas, users):
+        bits += b * u.task_bits
     return bits * server.cycles_per_bit / server.cpu_freq
 
 

@@ -385,8 +385,11 @@ def _server_coef(config: ScenarioConfig) -> float:
 
 
 def _offloaded_bits(specs, betas) -> float:
-    """Total offloaded bits sum_j beta_j L_j."""
-    return sum(beta * size for (size, _, _), beta in zip(specs, betas))
+    """Total offloaded bits sum_j beta_j L_j, added left to right from 0.0."""
+    bits = 0.0
+    for (size, _, _), beta in zip(specs, betas):
+        bits += beta * size
+    return bits
 
 
 def _rate_window(alpha: float, config: ScenarioConfig, specs, betas) -> float:
@@ -593,7 +596,12 @@ def _relaxed_delay(g, specs, config: ScenarioConfig, pinned=None) -> tuple:
                 # left to drop
                 active = prefix
                 while True:
-                    root = sum(s for s, _ in active) / (rate + sum(s / t for s, t in active))
+                    # left to right: builtin sum is compensated from Python 3.12
+                    kept_bits = kept_per_time = 0.0
+                    for s, t in active:
+                        kept_bits += s
+                        kept_per_time += s / t
+                    root = kept_bits / (rate + kept_per_time)
                     kept = [(s, t) for s, t in active if t > root]
                     if len(kept) in (0, len(active)):  # none left only when the rate is 0
                         break

@@ -1,19 +1,23 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from nomamec import cli
 from nomamec import (
     Allocation,
     ChannelRealization,
     InfeasibleScenarioError,
     ScenarioConfig,
+    SchemeResult,
     ServerSpec,
+    SolveResult,
     UsageError,
     UserSpec,
     bss_solve,
     full_local_delay,
-    metrics,
+    load_config,
     solve_noma_full_offload,
     solve_noma_partial,
     solve_ofdma_partial,
@@ -33,55 +37,97 @@ def light_config(**overrides):
     return ScenarioConfig(**defaults)
 
 
+S1 = str(Path(__file__).resolve().parent.parent / "configs" / "s1.json")
+
+
+def sweep_row(tmp_path, monkeypatch, powers, rate, pc):
+    """The sweep.csv cells of one noma-partial row whose scheme returned powers and rate."""
+    def stub(gains, config, eps):
+        alloc = Allocation(betas=(1.0,) * len(powers), powers=powers)
+        return SchemeResult("noma-partial", 1.5, rate, alloc, 7)
+
+    monkeypatch.setattr(cli, "solve_noma_partial", stub)
+    out = tmp_path / f"pc{pc}"
+    assert cli.main(["sweep", S1, "--axis", "user_count", "--values", str(len(powers)),
+                     "--schemes", "noma-partial", "--pc", pc, "--out", str(out)]) == 0
+    header, row = (out / "sweep.csv").read_text().splitlines()
+    return dict(zip(header.split(","), row.split(",")))
+
+
 class TestMetrics:
-    def test_zero_power(self):
-        cfg = light_config()
-        alloc = Allocation(betas=(0.0, 0.0), powers=(0.0, 0.0))
-        rate, ee, pe = metrics(alloc, (1e4, 1e5), cfg)
-        assert rate == 0.0 and ee == 0.0 and math.isnan(pe)
+    """Power and efficiency columns, which run_sweep derives from each scheme's result."""
 
-    def test_unit_snr_arithmetic(self):
-        cfg = light_config()
+    def test_zero_power(self, tmp_path, monkeypatch):
+        for pc in ("0.1", "0"):
+            row = sweep_row(tmp_path, monkeypatch, (0.0, 0.0), 0.0, pc)
+            assert row["total_power_w"] == "0.0000000000000000e+00"
+            assert row["ee_bpj"] == "0.0000000000000000e+00" and row["pe"] == "nan"
+
+    def test_unit_snr_arithmetic(self, tmp_path, monkeypatch):
+        # each scheme reports the shared-band sum rate of its allocation
         alloc = Allocation(betas=(1.0, 1.0), powers=(0.005, 0.005))
-        rate, ee, pe = metrics(alloc, (100.0, 100.0), cfg, p_circuit=0.1)
-        assert rate == pytest.approx(1e6)  # log2(1 + 1) over 1 MHz
-        assert ee == pytest.approx(1e6 / 0.11)
-        assert pe == pytest.approx(1e6 / 0.01)
+        solved = SolveResult(1.0, alloc, 3, (), True, 0.0)
+        monkeypatch.setattr("nomamec.baselines.bss_solve", lambda *args, **kwargs: solved)
+        res = solve_noma_partial((100.0, 100.0), light_config())
+        assert res.sum_rate == pytest.approx(1e6)  # log2(1 + 1) over 1 MHz
+        assert (res.delay, res.allocation, res.iterations) == (1.0, alloc, 3)
+        row = sweep_row(tmp_path, monkeypatch, alloc.powers, 1e6, "0.1")
+        assert float(row["ee_bpj"]) == pytest.approx(1e6 / 0.11)
+        assert float(row["pe"]) == pytest.approx(1e6 / 0.01)
 
-    def test_negative_circuit_power_rejected(self):
-        cfg = light_config()
-        alloc = Allocation(betas=(0.0, 0.0), powers=(0.0, 0.0))
-        with pytest.raises(UsageError):
-            metrics(alloc, (1e4, 1e5), cfg, p_circuit=-0.1)
+    def test_total_power_adds_left_to_right(self, tmp_path, monkeypatch):
+        # 0.1 + 0.2 + 0.3 from 0.0 is 0.6000000000000001; math.fsum (and
+        # builtin sum from Python 3.12) gives 0.6
+        power = 0.0
+        for p in (0.1, 0.2, 0.3):
+            power += p
+        for pc, ee in (("0", 2e6 / power), ("0.1", 2e6 / (power + 0.1))):
+            row = sweep_row(tmp_path, monkeypatch, (0.1, 0.2, 0.3), 2e6, pc)
+            assert row["total_power_w"] == "6.0000000000000009e-01"
+            assert row["sum_rate_bps"] == f"{2e6:.16e}"
+            assert row["ee_bpj"] == f"{ee:.16e}" and row["pe"] == f"{2e6 / power:.16e}"
+            assert (row["delay_s"], row["iterations"], row["case_label"]) == (
+                f"{1.5:.16e}", "7", "-")
+
+    def test_negative_circuit_power_rejected(self, tmp_path):
+        with pytest.raises(UsageError, match="p_circuit"):
+            cli.run_sweep(load_config(S1), "e_max", [2.0], ["local"], 1, p_circuit=-0.1,
+                          out_dir=str(tmp_path))
 
     @pytest.mark.parametrize("p_circuit", [-0.1, math.nan, math.inf])
-    def test_every_scheme_rejects_bad_circuit_power(self, p_circuit):
-        cfg = light_config(e_max=2.0)
-        gains = (1e4, 1e5)
-        alloc = Allocation(betas=(0.0, 0.0), powers=(0.0, 0.0))
-        with pytest.raises(UsageError):
-            metrics(alloc, gains, cfg, p_circuit=p_circuit)
-        with pytest.raises(UsageError):
-            solve_ofdma_partial(gains, cfg, 1, eps=1e-2, p_circuit=p_circuit)
-        with pytest.raises(UsageError):
-            full_local_delay(cfg, p_circuit=p_circuit)
+    def test_every_scheme_rejects_bad_circuit_power(self, tmp_path, capsys, monkeypatch,
+                                                    p_circuit):
+        # exit 2 before any scheme runs and before any output is written
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a scheme ran before p_circuit was checked")
 
+        for name in ("solve_noma_partial", "solve_noma_full_offload", "solve_ofdma_partial",
+                     "full_local_delay"):
+            monkeypatch.setattr(cli, name, forbidden)
+        out = tmp_path / "out"
+        rc = cli.main(["sweep", S1, "--axis", "e_max", "--values", "2",
+                       "--schemes", ",".join(cli.SCHEMES), "--pc", str(p_circuit),
+                       "--out", str(out)])
+        assert rc == 2
+        assert "p_circuit" in capsys.readouterr().err
+        assert not out.exists()
 
-    def test_ofdma_checks_circuit_power_before_solving(self, monkeypatch):
+    def test_ofdma_checks_circuit_power_before_solving(self, tmp_path, monkeypatch):
         def no_solve(*args, **kwargs):
             raise AssertionError("bss_solve ran before p_circuit was checked")
 
         monkeypatch.setattr("nomamec.baselines.bss_solve", no_solve)
-        with pytest.raises(UsageError):
-            solve_ofdma_partial((1e4, 1e5), light_config(e_max=2.0), 1, p_circuit=-0.1)
+        with pytest.raises(UsageError, match="p_circuit"):
+            cli.run_sweep(load_config(S1), "e_max", [2.0],
+                          ["ofdma-partial-1rb", "ofdma-partial-mrb"], 1, p_circuit=-0.1,
+                          out_dir=str(tmp_path))
 
 
 class TestFullLocal:
     def test_s1_like_parameters(self):
         res = full_local_delay(light_config())
         assert res.delay == pytest.approx(1.6)
-        assert res.sum_rate == 0.0 and res.total_power == 0.0
-        assert math.isnan(res.power_efficiency)
+        assert res.sum_rate == 0.0 and res.allocation.powers == (0.0, 0.0)
 
     def test_asymmetric_tasks(self):
         cfg = light_config(

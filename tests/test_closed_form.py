@@ -113,6 +113,31 @@ class TestWaterLevels:
         assert p1_water(cfg.p_max, realization, vast) == math.inf
         assert p2_water(cfg.p_max, realization, vast) == math.inf
 
+    @pytest.mark.parametrize("g1", [1e-320, 1e-300, 1e-200, 1e-30])
+    def test_flat_rate_level_matches_bisection(self, s1, g1):
+        # c = big_b ln 2 / g1 overflows or passes 2^53 / (1 + interference):
+        # the level is the root of the line against the rate at p1 = 0
+        _, cfg = s1
+        g2 = 1e5
+        for e_max in (0.2, 2.0, 20.0):
+            budget = replace(cfg, e_max=e_max)
+            a1, b1, (kf3, _) = reduced(budget)
+
+            def h(p1):
+                rate = budget.bandwidth * math.log2(1.0 + g1 * p1 + g2 * budget.p_max)
+                return kf3 * a1 + a1 * p1 - budget.e_max * (b1 + rate)
+
+            level = p1_water(budget.p_max, (g1, g2), budget)
+            if h(0.0) > 0.0:  # at 0.2 J user 1's local energy alone breaks the budget
+                assert e_max == 0.2 and level is None
+                continue
+            lo, hi = 0.0, 1.0
+            while h(hi) <= 0.0:
+                hi *= 2.0
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                lo, hi = (mid, hi) if h(mid) <= 0.0 else (lo, mid)
+            assert level == pytest.approx(lo, rel=1e-14)
+
 
 @pytest.fixture(scope="module")
 def energy_capped_draws():
