@@ -43,7 +43,6 @@ class SchemeResult:
     The sweep derives radiated power and efficiencies from these (cli.run_sweep).
     """
 
-    scheme: str
     delay: float
     sum_rate: float  # bits/s
     allocation: Allocation
@@ -54,7 +53,7 @@ def solve_noma_partial(gains, config: ScenarioConfig, eps: float = 1e-4) -> Sche
     """Joint partition and power optimization over the shared band."""
     res = bss_solve(gains, config, eps=eps)
     rate = sum_rate(gains, res.allocation.powers, config.bandwidth, config.num_users)
-    return SchemeResult("noma-partial", res.optimal_delay, rate, res.allocation, res.iterations)
+    return SchemeResult(res.optimal_delay, rate, res.allocation, res.iterations)
 
 
 def solve_noma_full_offload(gains, config: ScenarioConfig, eps: float = 1e-4) -> SchemeResult:
@@ -67,7 +66,7 @@ def solve_noma_full_offload(gains, config: ScenarioConfig, eps: float = 1e-4) ->
     ones = (1.0,) * config.num_users
     res = bss_solve(gains, config, eps=eps, fixed_betas=ones)
     rate = sum_rate(gains, res.allocation.powers, config.bandwidth, config.num_users)
-    return SchemeResult("noma-full", res.optimal_delay, rate, res.allocation, res.iterations)
+    return SchemeResult(res.optimal_delay, rate, res.allocation, res.iterations)
 
 
 def solve_ofdma_partial(
@@ -108,9 +107,8 @@ def solve_ofdma_partial(
         iters = max(iters, res.iterations)
         rate_total += share * math.log2(1.0 + g[i] * scale * powers[-1])
 
-    label = "ofdma-partial-1rb" if rb_count == 1 else "ofdma-partial-mrb"
     alloc = Allocation(betas=tuple(betas), powers=tuple(powers))
-    return SchemeResult(label, delay, rate_total, alloc, iters)
+    return SchemeResult(delay, rate_total, alloc, iters)
 
 
 def full_local_delay(config: ScenarioConfig) -> SchemeResult:
@@ -123,4 +121,4 @@ def full_local_delay(config: ScenarioConfig) -> SchemeResult:
             )
     zeros = (0.0,) * config.num_users
     delay = max(u.local_full_time for u in config.users)
-    return SchemeResult("local", delay, 0.0, Allocation(betas=zeros, powers=zeros))
+    return SchemeResult(delay, 0.0, Allocation(betas=zeros, powers=zeros))

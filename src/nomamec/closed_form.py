@@ -33,8 +33,6 @@ from .solver import _gain_tuple, _max_residual, _specs
 __all__ = [
     "TwoUserSolution",
     "EqualTimeInfeasible",
-    "p1_water",
-    "p2_water",
     "solve_two_user",
 ]
 

@@ -9,12 +9,37 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from typing import Any, Optional
 
 from .model import ScenarioConfig, ServerSpec, UsageError, UserSpec
 
 __all__ = ["ConfigError", "LoadedScenario", "load_config", "config_to_dict"]
+
+# JSON key -> (dataclass field, exclusive minimum) for the numbers of each
+# JSON object. A key whose field has a dataclass default may be left out
+# and then takes that default; any key not listed is an error.
+_SCENARIO_FIELDS = {
+    "bandwidth_hz": ("bandwidth", 0.0),
+    "noise_density_dbm": ("noise_density_dbm", None),
+    "p_max_w": ("p_max", 0.0),
+    "e_max_j": ("e_max", 0.0),
+    "path_loss_exp": ("path_loss_exp", 0.0),
+    "cell_radius_m": ("cell_radius", 0.0),
+}
+_USER_FIELDS = {
+    "task_bits": ("task_bits", 0.0),
+    "cycles_per_bit": ("cycles_per_bit", 0.0),
+    "cpu_freq_hz": ("cpu_freq", 0.0),
+    "kappa": ("kappa", 0.0),
+    "distance_m": ("distance", None),
+}
+_SERVER_FIELDS = {
+    "cycles_per_bit": ("cycles_per_bit", 0.0),
+    "cpu_freq_hz": ("cpu_freq", 0.0),
+    "kappa": ("kappa", 0.0),
+}
+_TOP_LEVEL_KEYS = {*_SCENARIO_FIELDS, "master_seed", "users", "server"}
 
 
 class ConfigError(ValueError):
@@ -24,56 +49,55 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class LoadedScenario:
     config: ScenarioConfig
-    master_seed: int
+    master_seed: int = 0
 
 
-def _need(obj: dict, key: str, path: str) -> Any:
-    if key not in obj:
-        raise ConfigError(f"{path}{key}: missing required field")
-    return obj[key]
-
-
-def _number(
-    obj: dict,
-    key: str,
-    path: str,
-    minimum: Optional[float] = None,
-    default: Optional[float] = None,
-) -> float:
-    """Finite float at obj[key]; a missing key takes default when one is given."""
-    val = obj.get(key, default) if default is not None else _need(obj, key, path)
+def _number(val: Any, name: str, minimum: Optional[float]) -> float:
+    """val as a finite float above minimum (when given); name is its field path."""
     if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise ConfigError(f"{path}{key}: expected a number, got {type(val).__name__}")
+        raise ConfigError(f"{name}: expected a number, got {type(val).__name__}")
     try:
         out = float(val)
     except OverflowError:
         out = math.inf
     if not math.isfinite(out):
-        raise ConfigError(f"{path}{key}: must be finite, got {val}")
+        raise ConfigError(f"{name}: must be finite, got {val}")
     if minimum is not None and out <= minimum:
-        raise ConfigError(f"{path}{key}: must be > {minimum}")
+        raise ConfigError(f"{name}: must be > {minimum}")
     return out
 
 
-def _seed(obj: dict) -> int:
-    val = obj.get("master_seed", 0)
+def _check_keys(obj: dict, known, path: str) -> None:
+    for key in obj:
+        if key not in known:
+            raise ConfigError(f"{path}{key}: unknown field")
+
+
+def _numbers(obj: dict, cls: type, table: dict, path: str) -> dict:
+    """cls's keyword arguments for the table's keys present in obj."""
+    out = {}
+    for key, (name, minimum) in table.items():
+        if key in obj:
+            out[name] = _number(obj[key], path + key, minimum)
+        elif cls.__dataclass_fields__[name].default is MISSING:
+            raise ConfigError(f"{path}{key}: missing required field")
+    return out
+
+
+def _build(obj: Any, cls: type, table: dict, path: str):
+    """cls from the JSON object at path, which holds only the table's keys."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: expected an object")
+    _check_keys(obj, table, path + ".")
+    return cls(**_numbers(obj, cls, table, path + "."))
+
+
+def _seed(val: Any) -> int:
     if isinstance(val, float) and val.is_integer():
         val = int(val)
     if not isinstance(val, int) or isinstance(val, bool) or val < 0:
         raise ConfigError(f"master_seed: expected an integer >= 0, got {val!r}")
     return val
-
-
-def _user_from(obj: Any, path: str) -> UserSpec:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object")
-    return UserSpec(
-        task_bits=_number(obj, "task_bits", path + ".", minimum=0.0),
-        cycles_per_bit=_number(obj, "cycles_per_bit", path + ".", minimum=0.0),
-        cpu_freq=_number(obj, "cpu_freq_hz", path + ".", minimum=0.0),
-        kappa=_number(obj, "kappa", path + ".", minimum=0.0),
-        distance=_number(obj, "distance_m", path + ".", default=0.0),
-    )
 
 
 def load_config(path: str) -> LoadedScenario:
@@ -86,66 +110,41 @@ def load_config(path: str) -> LoadedScenario:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected a JSON object")
+    _check_keys(raw, _TOP_LEVEL_KEYS, "")
 
-    users_raw = _need(raw, "users", "")
+    if "users" not in raw:
+        raise ConfigError("users: missing required field")
+    users_raw = raw["users"]
     if not isinstance(users_raw, list) or not users_raw:
         raise ConfigError("users: expected a nonempty list")
     users = []
     for i, u in enumerate(users_raw):
         try:
-            users.append(_user_from(u, f"users[{i}]"))
+            users.append(_build(u, UserSpec, _USER_FIELDS, f"users[{i}]"))
         except UsageError as exc:
             raise ConfigError(f"users[{i}]: {exc}") from exc
 
     server = None
     if raw.get("server") is not None:
-        srv = raw["server"]
-        if not isinstance(srv, dict):
-            raise ConfigError("server: expected an object")
-        server = ServerSpec(
-            cycles_per_bit=_number(srv, "cycles_per_bit", "server.", minimum=0.0),
-            cpu_freq=_number(srv, "cpu_freq_hz", "server.", minimum=0.0),
-            kappa=_number(srv, "kappa", "server.", minimum=0.0),
-        )
+        server = _build(raw["server"], ServerSpec, _SERVER_FIELDS, "server")
 
     config = ScenarioConfig(
-        bandwidth=_number(raw, "bandwidth_hz", "", minimum=0.0),
-        noise_density_dbm=_number(raw, "noise_density_dbm", ""),
-        users=tuple(users),
-        p_max=_number(raw, "p_max_w", "", minimum=0.0),
-        e_max=_number(raw, "e_max_j", "", minimum=0.0),
-        path_loss_exp=_number(raw, "path_loss_exp", "", minimum=0.0, default=3.76),
-        cell_radius=_number(raw, "cell_radius_m", "", minimum=0.0, default=500.0),
-        server=server,
+        users=tuple(users), server=server, **_numbers(raw, ScenarioConfig, _SCENARIO_FIELDS, "")
     )
-    return LoadedScenario(config=config, master_seed=_seed(raw))
+    if "master_seed" not in raw:
+        return LoadedScenario(config)
+    return LoadedScenario(config, _seed(raw["master_seed"]))
+
+
+def _dump(obj: Any, table: dict) -> dict:
+    return {key: getattr(obj, name) for key, (name, _) in table.items()}
 
 
 def config_to_dict(config: ScenarioConfig, master_seed: int) -> dict:
     """Snapshot for run manifests; loading it back reproduces the scenario."""
-    out = {
-        "bandwidth_hz": config.bandwidth,
-        "noise_density_dbm": config.noise_density_dbm,
-        "p_max_w": config.p_max,
-        "e_max_j": config.e_max,
-        "path_loss_exp": config.path_loss_exp,
-        "cell_radius_m": config.cell_radius,
-        "master_seed": master_seed,
-        "users": [
-            {
-                "task_bits": u.task_bits,
-                "cycles_per_bit": u.cycles_per_bit,
-                "cpu_freq_hz": u.cpu_freq,
-                "kappa": u.kappa,
-                "distance_m": u.distance,
-            }
-            for u in config.users
-        ],
-    }
+    out = _dump(config, _SCENARIO_FIELDS)
+    out["master_seed"] = master_seed
+    out["users"] = [_dump(u, _USER_FIELDS) for u in config.users]
     if config.server is not None:
-        out["server"] = {
-            "cycles_per_bit": config.server.cycles_per_bit,
-            "cpu_freq_hz": config.server.cpu_freq,
-            "kappa": config.server.kappa,
-        }
+        out["server"] = _dump(config.server, _SERVER_FIELDS)
     return out

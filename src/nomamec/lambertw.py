@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["lambert_wm1", "BRANCH_POINT"]
+__all__ = ["lambert_wm1"]
 
 BRANCH_POINT = -math.exp(-1.0)  # -1/e, left edge of the real branches
 

@@ -7,7 +7,7 @@ normalized by the receiver noise power so that the SINR of user m is
 
 with gains sorted ascending. User m is decoded after all stronger users,
 so user 1 (weakest gain) sees no residual interference. User indices in
-the public functions are 1-based, matching the decode position.
+the formulas are 1-based, matching the decode position.
 """
 
 from __future__ import annotations
@@ -24,14 +24,10 @@ __all__ = [
     "Allocation",
     "DelayBreakdown",
     "UsageError",
-    "sinr",
-    "user_rate",
+    "dbm_per_hz_to_watts",
     "sum_rate",
-    "aggregated_offload_time",
-    "local_time",
     "local_energy",
     "offload_energy",
-    "server_time",
     "total_delay",
 ]
 

@@ -29,8 +29,6 @@ from .model import (
 __all__ = [
     "Seed",
     "RNG_SCHEME",
-    "dbm_per_hz_to_watts",
-    "gains_from_draws",
     "generate_channels",
     "reorder_users",
 ]

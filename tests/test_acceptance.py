@@ -24,23 +24,21 @@ from nomamec import (
     Seed,
     ServerSpec,
     UserSpec,
-    aggregated_offload_time,
     bss_solve,
     check_feasibility,
     full_local_delay,
     generate_channels,
     lambert_wm1,
-    local_time,
     max_violation,
     reorder_users,
     solve_noma_full_offload,
     solve_two_user,
     sum_rate,
-    user_rate,
 )
 from nomamec.cli import run_sweep
 from nomamec.configio import LoadedScenario
 from nomamec.lambertw import BRANCH_POINT
+from nomamec.model import aggregated_offload_time, local_time, user_rate
 from nomamec.solver import InfeasibleScenarioError
 from conftest import (
     S1_MASTER_SEED,

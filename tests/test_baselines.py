@@ -44,7 +44,7 @@ def sweep_row(tmp_path, monkeypatch, powers, rate, pc):
     """The sweep.csv cells of one noma-partial row whose scheme returned powers and rate."""
     def stub(gains, config, eps):
         alloc = Allocation(betas=(1.0,) * len(powers), powers=powers)
-        return SchemeResult("noma-partial", 1.5, rate, alloc, 7)
+        return SchemeResult(1.5, rate, alloc, 7)
 
     monkeypatch.setattr(cli, "solve_noma_partial", stub)
     out = tmp_path / f"pc{pc}"

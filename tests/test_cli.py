@@ -5,6 +5,8 @@ import random
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +14,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from nomamec.cli import SWEEP_COLUMNS, _seed_mean, main, run_sweep
-from nomamec.configio import ConfigError, load_config
+from nomamec.configio import ConfigError, LoadedScenario, config_to_dict, load_config
+from nomamec.model import ScenarioConfig, ServerSpec, UserSpec
 from conftest import S1_MASTER_SEED
+
+S1 = str(Path(__file__).resolve().parent.parent / "configs" / "s1.json")
 
 
 def write_config(tmp_path, name="s1.json", users=None, **overrides):
@@ -65,6 +70,58 @@ class TestConfig:
         path.write_text("{not json")
         assert main(["solve", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "where,key,message",
+        [
+            ((), "seed", "seed: unknown field"),
+            ((), "path_loss", "path_loss: unknown field"),
+            (("users", 0), "distance", "users[0].distance: unknown field"),
+            (("server",), "cpu_freq", "server.cpu_freq: unknown field"),
+        ],
+    )
+    def test_unknown_key_names_its_path(self, tmp_path, capsys, where, key, message):
+        # a misspelled key must not fall back to the default: "seed" would
+        # load master seed 0, "distance" a user placed at random
+        path = write_config(tmp_path, server=dict(SERVER))
+        raw = json.loads(open(path).read())
+        obj = raw
+        for step in where:
+            obj = obj[step]
+        obj[key] = 7
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value) == message
+        assert main(["solve", path]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_optional_keys_take_the_dataclass_defaults(self, tmp_path):
+        users = [{"task_bits": 1.6e6, "cycles_per_bit": 1e3, "cpu_freq_hz": 1e9, "kappa": 1e-27}]
+        path = tmp_path / "minimal.json"
+        path.write_text(json.dumps({"bandwidth_hz": 1e6, "noise_density_dbm": -174,
+                                    "p_max_w": 0.01, "e_max_j": 0.2, "users": users}))
+        loaded = load_config(str(path))
+        user = UserSpec(1.6e6, 1e3, 1e9, 1e-27)
+        assert loaded == LoadedScenario(ScenarioConfig(1e6, -174.0, (user,), 0.01, 0.2))
+        assert load_config(write_config(tmp_path, server=None)).config.server is None
+
+    @pytest.mark.parametrize("variant", ["s1", "server", "distance"])
+    def test_config_to_dict_loads_back(self, tmp_path, variant):
+        loaded = load_config(S1)
+        config = loaded.config
+        if variant == "server":
+            config = replace(config, server=ServerSpec(1e3, 1e10, 1e-28))
+        elif variant == "distance":
+            users = tuple(replace(u, distance=d) for u, d in zip(config.users, (120.5, 37.25)))
+            config = replace(config, users=users)
+        for seed in (loaded.master_seed, 12345):
+            path = tmp_path / f"{variant}-{seed}.json"
+            path.write_text(json.dumps(config_to_dict(config, seed)))
+            again = load_config(str(path))
+            assert again.config == config
+            assert again.master_seed == seed
 
 
 SERVER = {"cycles_per_bit": 1e3, "cpu_freq_hz": 1e10, "kappa": 1e-28}
@@ -642,7 +699,7 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert rc == 0, out
         assert "FAIL" not in out
-        assert out.count("skipped: closed form has no server term") == 3
+        assert out.count("skipped: closed form has no server term") == 1
         assert "feasibility monotone around optimum: ok" in out
 
 

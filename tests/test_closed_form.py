@@ -20,12 +20,11 @@ from nomamec import (
     generate_channels,
     load_config,
     max_violation,
-    p1_water,
-    p2_water,
     reorder_users,
     solve_two_user,
     sum_rate,
 )
+from nomamec.closed_form import p1_water, p2_water
 from nomamec.solver import EPS_FEAS
 from conftest import draw_envelope_scenario, feasible_two_user_scenarios, reference_two_user
 

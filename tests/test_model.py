@@ -12,17 +12,13 @@ from nomamec import (
     ScenarioConfig,
     UsageError,
     UserSpec,
-    aggregated_offload_time,
     local_energy,
-    local_time,
     offload_energy,
-    server_time,
     ServerSpec,
-    sinr,
     sum_rate,
     total_delay,
-    user_rate,
 )
+from nomamec.model import aggregated_offload_time, local_time, server_time, sinr, user_rate
 from conftest import random_gain_power_instance, reference_two_user
 
 

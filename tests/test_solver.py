@@ -587,7 +587,7 @@ class TestOptimumStructure:
         # at the optimum of an energy-slack scenario the shared window is
         # the delay itself: the total-bits rate constraint binds, every
         # prefix fits the decode region, and some local share ends there
-        from nomamec import aggregated_offload_time, local_time
+        from nomamec.model import aggregated_offload_time, local_time
         from conftest import feasible_two_user_scenarios
 
         for realization, cfg, _ in feasible_two_user_scenarios(
